@@ -28,11 +28,10 @@ from .profile import (
     SPEC_FILENAME,
     compute_profiles,
     compute_ratios,
-    emit_gnuplot,
-    emit_matlab,
     gather_candidate_problems,
     parse_spec,
     select,
+    write_outputs,
 )
 from .record import TokenConfig
 from .runner import RunOptions, check_working_dir, run_batch
@@ -54,7 +53,6 @@ ALIASES = {
 class GlobalContext:
     working_dir: Path
     root: Path | None
-    platform: str | None
     startup: StartupFile | None
     config: TokenConfig
 
@@ -64,12 +62,9 @@ def _warn(message: str) -> None:
 
 
 def _require_root() -> Path:
-    value = os.environ.get(ROOT_ENV_VAR)
-    if not value:
+    root = _optional_root()
+    if root is None:
         raise LiboptError(f"{ROOT_ENV_VAR} is not set")
-    root = Path(value)
-    if not root.is_dir():
-        raise LiboptError(f"{ROOT_ENV_VAR}={value} is not a directory")
     return root
 
 
@@ -88,7 +83,6 @@ def _context(config_path: str | None) -> GlobalContext:
     return GlobalContext(
         working_dir=Path.cwd(),
         root=_optional_root(),
-        platform=os.environ.get(PLATFORM_ENV_VAR),
         startup=startup,
         config=token_config(startup),
     )
@@ -208,10 +202,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     if args.test:
         print(f"test mode: would write {base}.gnu and {base}.m", file=sys.stderr)
         return EXIT_OK if profiles else EXIT_PARTIAL
-    gnu_path = Path(str(base) + ".gnu")
-    m_path = Path(str(base) + ".m")
-    gnu_path.write_text(emit_gnuplot(profiles, spec.log_scale))
-    m_path.write_text(emit_matlab(profiles, spec.log_scale))
+    gnu_path, m_path = write_outputs(profiles, spec.log_scale, base)
     print(f"wrote {gnu_path.name} and {m_path.name}", file=sys.stderr)
     return EXIT_OK if profiles else EXIT_PARTIAL
 
@@ -309,3 +300,7 @@ def main(argv: list[str] | None = None, prog: str | None = None) -> int:
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -132,7 +132,6 @@ def token_config(startup: StartupFile | None) -> TokenConfig:
             if startup.performance_tokens is not None
             else None
         ),
-        store_path=startup.data_base,
     )
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_right
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -132,10 +133,7 @@ def parse_spec(
                     f"{where}: expected 'problem token relation number' with relation"
                     f" among {sorted(RELATIONS)}"
                 )
-            try:
-                threshold = float(args[2])
-            except ValueError as exc:
-                raise SpecError(f"{where}: bad threshold {args[2]!r}") from exc
+            threshold = _finite(args[2], f"{where}: bad threshold")
             filters.append(ProblemFilter(check_name(args[0], "token"), args[1], threshold))
         elif directive in ("performance", "rho_max", "output"):
             if directive in single:
@@ -159,10 +157,7 @@ def parse_spec(
             raise SpecError(f"{ptok!r} is not a configured performance token")
     rho_bar_override = None
     if "rho_max" in single:
-        try:
-            rho_bar_override = float(single["rho_max"])
-        except ValueError as exc:
-            raise SpecError(f"bad rho_max value {single['rho_max']!r}") from exc
+        rho_bar_override = _finite(single["rho_max"], "bad rho_max value")
         if rho_bar_override <= 1.0:
             raise SpecError("rho_max must be greater than 1")
     output_base = cli_output if cli_output is not None else single.get("output", DEFAULT_OUTPUT_BASE)
@@ -175,6 +170,13 @@ def parse_spec(
         log_scale=cli_log,
         output_base=output_base,
     )
+
+
+def _finite(text: str, error: str) -> float:
+    with suppress(ValueError):
+        if math.isfinite(value := float(text)):
+            return value
+    raise SpecError(f"{error} {text!r}")
 
 
 def gather_candidate_problems(
@@ -237,9 +239,7 @@ def select(
     }
     for key, pairs in store.query(Selection()):
         if key.solver_with_tag in per_solver:
-            per_solver[key.solver_with_tag][(key.collection, key.problem)] = {
-                p.token: p.value for p in pairs
-            }
+            per_solver[key.solver_with_tag][key.collection, key.problem] = dict(pairs)
     if candidates is not None:
         pool = list(candidates)
     else:

@@ -9,26 +9,44 @@ are token-number pairs. Blanks (space/tab) around fields and around the
 ``=`` sign are ignored, and a ``#`` starts a comment running to the end
 of the line. Every line must carry at least two pairs, exactly one of
 which is ``info`` (value 0 means the solver succeeded).
+
+Names match ``[A-Za-z0-9_]+``, a tag is any run of characters other
+than ``%``, ``#`` and whitespace, and numbers are decimal with optional
+sign, point and exponent. ``LINE_RE`` is this whole grammar in one
+compiled pattern, so ``parse_fields`` checks each field once, then what
+a pattern cannot: at least two pairs, no duplicate token, an ``info``
+pair, finite values. ``_diagnose`` names the first bad field of a line
+that does not match. The record types are plain carriers: the parser
+vouches for their contents.
 """
 from __future__ import annotations
 
 import math
 import re
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, Iterator
+from functools import partial
+from typing import Iterable, Iterator, NamedTuple, NoReturn
 
 from .errors import LiboptError
 
 SENTINEL = "libopt"
 INFO_TOKEN = "info"
 
-# solver/collection/problem/token names are "words"
-NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
-# optional sign, decimal digits with optional point, optional e/E exponent
-NUMBER_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\Z")
-
 _BLANKS = " \t"
+_B = f"[{_BLANKS}]*"
+_NAME = "[A-Za-z0-9_]+"
+_NUMBER = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+_PAIR = rf"%{_B}{_NAME}{_B}={_B}{_NUMBER}{_B}"
+
+# solver/collection/problem/token names are "words"
+NAME_RE = re.compile(_NAME + r"\Z")
+# optional sign, decimal digits with optional point, optional e/E exponent
+NUMBER_RE = re.compile(_NUMBER + r"\Z")
+# groups: solver[.tag], solver, tag, collection, problem, all pairs
+LINE_RE = re.compile(
+    rf"{_B}{SENTINEL}{_B}%{_B}(({_NAME})(?:\.([^%#\s]+))?){_B}%{_B}({_NAME}){_B}"
+    rf"%{_B}({_NAME}){_B}((?:{_PAIR})*)(?:#[^\n\r]*)?\Z"
+)
 
 
 class RecordError(LiboptError):
@@ -60,12 +78,6 @@ def split_solver_field(text: str) -> tuple[str, str | None]:
     return check_name(name, "solver"), None
 
 
-def parse_number(text: str) -> float:
-    if not NUMBER_RE.match(text):
-        raise RecordError(f"unparseable number {text!r}")
-    return float(text)
-
-
 def format_number(value: float) -> str:
     """Shortest decimal text that parses back to exactly the same float."""
     out = repr(value)
@@ -74,15 +86,13 @@ def format_number(value: float) -> str:
     return out
 
 
-@dataclass(frozen=True)
-class TokenPair:
+class TokenPair(NamedTuple):
     token: str
     value: float
 
-    def __post_init__(self) -> None:
-        check_name(self.token, "token")
-        if not math.isfinite(self.value):
-            raise RecordError(f"non-finite value for token {self.token!r}")
+
+# TokenPair from a (token, value) tuple, without the Python-level __new__
+_new_pair = partial(tuple.__new__, TokenPair)
 
 
 @dataclass(frozen=True)
@@ -95,67 +105,73 @@ class LiboptRecord:
     pairs: tuple[TokenPair, ...]
     tag: str | None = None
 
-    def __post_init__(self) -> None:
-        check_name(self.solver, "solver")
-        check_name(self.collection, "collection")
-        check_name(self.problem, "problem")
-        if self.tag is not None:
-            check_tag(self.tag)
-        object.__setattr__(self, "pairs", tuple(self.pairs))
-        if len(self.pairs) < 2:
-            raise RecordError("a result needs at least two token-number pairs")
-        seen: set[str] = set()
-        for pair in self.pairs:
-            if pair.token in seen:
-                raise RecordError(f"duplicate token {pair.token!r}")
-            seen.add(pair.token)
-        if INFO_TOKEN not in seen:
-            raise RecordError(f"missing mandatory {INFO_TOKEN!r} pair")
-
     @property
     def solver_with_tag(self) -> str:
         return self.solver if self.tag is None else f"{self.solver}.{self.tag}"
-
-    @property
-    def info(self) -> float:
-        return next(p.value for p in self.pairs if p.token == INFO_TOKEN)
-
-    @property
-    def succeeded(self) -> bool:
-        return self.info == 0.0
-
-    def token_map(self) -> dict[str, float]:
-        return {p.token: p.value for p in self.pairs}
 
     def key_text(self) -> str:
         return f"{self.solver_with_tag}%{self.collection}%{self.problem}"
 
 
-def parse_line(text: str) -> LiboptRecord:
-    """Parse one result line into a record; raises RecordError when malformed."""
+def parse_fields(
+    text: str,
+) -> tuple[str, str, str | None, str, str, tuple[TokenPair, ...]]:
+    """Parse one result line into (solver[.tag], solver, tag, collection,
+    problem, pairs); raises RecordError when malformed."""
+    match = LINE_RE.match(text)
+    if match is None:
+        _diagnose(text)
+    # the matched pairs hold '%' and '=' only as separators: split them apart
+    tail = match[6]
+    items = tail.replace("=", "%").split("%")
+    if " " in tail or "\t" in tail:
+        items = [item.strip(_BLANKS) for item in items]
+    tokens = items[1::2]
+    values = list(map(float, items[2::2]))
+    if len(tokens) < 2:
+        raise RecordError("a result needs at least two token-number pairs")
+    if len(set(tokens)) < len(tokens):
+        dup = next(t for i, t in enumerate(tokens) if t in tokens[:i])
+        raise RecordError(f"duplicate token {dup!r}")
+    if INFO_TOKEN not in tokens:
+        raise RecordError(f"missing mandatory {INFO_TOKEN!r} pair")
+    if not all(map(math.isfinite, values)):
+        bad = next(t for t, v in zip(tokens, values) if not math.isfinite(v))
+        raise RecordError(f"non-finite value for token {bad!r}")
+    pairs = tuple(map(_new_pair, zip(tokens, values)))
+    return match.group(1, 2, 3, 4, 5) + (pairs,)
+
+
+def _diagnose(text: str) -> NoReturn:
+    """Raise a RecordError naming the first bad field LINE_RE rejected."""
     if "\n" in text or "\r" in text:
         raise RecordError("result line must be a single line")
-    body = text.split("#", 1)[0]
-    fields = [f.strip(_BLANKS) for f in body.split("%")]
+    fields = [f.strip(_BLANKS) for f in text.split("#", 1)[0].split("%")]
     if fields[0] != SENTINEL:
         raise RecordError(f"line does not start with the {SENTINEL!r} sentinel")
     if len(fields) < 4:
         raise RecordError(
             "expected positional fields 'libopt%solver%collection%problem'"
         )
-    solver, tag = split_solver_field(fields[1])
-    collection = check_name(fields[2], "collection")
-    problem = check_name(fields[3], "problem")
-    pairs = []
+    split_solver_field(fields[1])
+    check_name(fields[2], "collection")
+    check_name(fields[3], "problem")
     for raw in fields[4:]:
-        token, sep, number = raw.partition("=")
+        token, sep, number = (part.strip(_BLANKS) for part in raw.partition("="))
         if not sep:
             raise RecordError(f"pair {raw!r} has no '='")
-        token = token.strip(_BLANKS)
         if not token:
             raise RecordError(f"pair {raw!r} has an empty token")
-        pairs.append(TokenPair(check_name(token, "token"), parse_number(number.strip(_BLANKS))))
-    return LiboptRecord(solver, collection, problem, tuple(pairs), tag)
+        check_name(token, "token")
+        if not NUMBER_RE.match(number):
+            raise RecordError(f"unparseable number {number!r}")
+    raise RecordError(f"malformed result line {text!r}")
+
+
+def parse_line(text: str) -> LiboptRecord:
+    """Parse one result line into a record; raises RecordError when malformed."""
+    _, solver, tag, collection, problem, pairs = parse_fields(text)
+    return LiboptRecord(solver, collection, problem, pairs, tag)
 
 
 def serialize(record: LiboptRecord) -> str:
@@ -171,7 +187,6 @@ class TokenConfig:
 
     valid_tokens: frozenset[str] | None = None
     performance_tokens: frozenset[str] | None = None
-    store_path: Path | None = None
 
     def __post_init__(self) -> None:
         if self.valid_tokens is not None and self.performance_tokens is not None:
@@ -182,8 +197,11 @@ class TokenConfig:
                 )
 
 
-def validate_tokens(record: LiboptRecord, config: TokenConfig) -> list[str]:
-    """Check a record's tokens against the configured sets.
+def validate_tokens(
+    pairs: tuple[TokenPair, ...], key_text: str, config: TokenConfig
+) -> list[str]:
+    """Check the tokens of the result keyed ``key_text`` against the
+    configured sets.
 
     Without a configured set there is no verification. Violations are
     returned as a list, one message per offending token, never raised
@@ -191,12 +209,12 @@ def validate_tokens(record: LiboptRecord, config: TokenConfig) -> list[str]:
     """
     errors: list[str] = []
     if config.valid_tokens is not None:
-        for pair in record.pairs:
+        for pair in pairs:
             if pair.token not in config.valid_tokens:
-                errors.append(f"unknown token {pair.token!r} in {record.key_text()}")
+                errors.append(f"unknown token {pair.token!r} in {key_text}")
     if config.performance_tokens is not None:
-        if not any(p.token in config.performance_tokens for p in record.pairs):
-            errors.append(f"no performance token in {record.key_text()}")
+        if not any(p.token in config.performance_tokens for p in pairs):
+            errors.append(f"no performance token in {key_text}")
     return errors
 
 

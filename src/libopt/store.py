@@ -12,9 +12,9 @@ import fcntl
 import os
 import tempfile
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import LiboptError
 from .record import (
@@ -26,7 +26,7 @@ from .record import (
     check_name,
     format_number,
     iter_result_lines,
-    parse_line,
+    parse_fields,
     split_solver_field,
     validate_tokens,
 )
@@ -47,20 +47,10 @@ class SelectionError(StoreError):
     pass
 
 
-@dataclass(frozen=True)
-class StoreKey:
+class StoreKey(NamedTuple):
     solver_with_tag: str
     collection: str
     problem: str
-
-    def __post_init__(self) -> None:
-        split_solver_field(self.solver_with_tag)
-        check_name(self.collection, "collection")
-        check_name(self.problem, "problem")
-
-    @classmethod
-    def from_record(cls, record: LiboptRecord) -> StoreKey:
-        return cls(record.solver_with_tag, record.collection, record.problem)
 
     def text(self) -> str:
         return f"{self.solver_with_tag}%{self.collection}%{self.problem}"
@@ -117,11 +107,7 @@ class ImportReport:
     replaced: int = 0
     duplicates: int = 0
     invalid: int = 0
-    details: list[str] | None = None
-
-    def __post_init__(self) -> None:
-        if self.details is None:
-            self.details = []
+    details: list[str] = field(default_factory=list)
 
 
 class Store:
@@ -143,19 +129,17 @@ class Store:
         store = cls(Path(path))
         if not store.path.exists():
             return store
-        try:
-            text = store.path.read_text()
-        except OSError as exc:
-            raise StoreError(f"cannot read store {path}: {exc}") from exc
-        for lineno, raw in iter_result_lines(text):
+        for lineno, raw in iter_result_lines(_read_text(path, "store")):
             try:
-                record = parse_line(f"{SENTINEL}%{raw}")
+                solver, _, _, collection, problem, pairs = parse_fields(
+                    f"{SENTINEL}%{raw}"
+                )
             except RecordError as exc:
                 raise StoreError(f"{path}:{lineno}: corrupt entry: {exc}") from exc
-            key = StoreKey.from_record(record)
-            if key.text() in store._entries:
-                raise StoreError(f"{path}:{lineno}: duplicate key {key.text()}")
-            store._entries[key.text()] = (key, record.pairs)
+            key_text = f"{solver}%{collection}%{problem}"
+            if key_text in store._entries:
+                raise StoreError(f"{path}:{lineno}: duplicate key {key_text}")
+            store._entries[key_text] = (StoreKey(solver, collection, problem), pairs)
         return store
 
     def save(self) -> None:
@@ -192,18 +176,27 @@ class Store:
         config: TokenConfig | None = None,
     ) -> str:
         """Insert one record; a present key is only overwritten with replace."""
+        key = StoreKey(record.solver_with_tag, record.collection, record.problem)
+        return self._put(key, record.pairs, replace, config)
+
+    def _put(
+        self,
+        key: StoreKey,
+        pairs: tuple[TokenPair, ...],
+        replace: bool,
+        config: TokenConfig | None,
+    ) -> str:
+        key_text = key.text()
         if config is not None:
-            problems = validate_tokens(record, config)
+            problems = validate_tokens(pairs, key_text, config)
             if problems:
                 raise StoreError("; ".join(problems))
-        key = StoreKey.from_record(record)
-        key_text = key.text()
         if key_text in self._entries:
             if not replace:
                 raise DuplicateEntryError(f"entry already present: {key_text}")
-            self._entries[key_text] = (key, record.pairs)
+            self._entries[key_text] = (key, pairs)
             return REPLACED
-        self._entries[key_text] = (key, record.pairs)
+        self._entries[key_text] = (key, pairs)
         return ADDED
 
     def query(
@@ -239,15 +232,12 @@ class Store:
         return DeleteResult(deleted, missing)
 
     def _keys_from_file(self, path: Path) -> Iterator[StoreKey]:
-        try:
-            text = Path(path).read_text()
-        except OSError as exc:
-            raise StoreError(f"cannot read selection file {path}: {exc}") from exc
-        for lineno, raw in iter_result_lines(text):
+        for lineno, raw in iter_result_lines(_read_text(path, "selection file")):
             try:
-                yield StoreKey.from_record(parse_line(raw))
+                solver, _, _, collection, problem, _ = parse_fields(raw)
             except RecordError as exc:
                 raise StoreError(f"{path}:{lineno}: {exc}") from exc
+            yield StoreKey(solver, collection, problem)
 
     def import_file(
         self,
@@ -257,33 +247,31 @@ class Store:
         config: TokenConfig | None = None,
     ) -> ImportReport:
         """Add every result line of a file; bad lines are reported, never fatal."""
-        try:
-            text = Path(path).read_text()
-        except OSError as exc:
-            raise StoreError(f"cannot read result file {path}: {exc}") from exc
         report = ImportReport()
-        for lineno, raw in iter_result_lines(text):
+        for lineno, raw in iter_result_lines(_read_text(path, "result file")):
             try:
-                record = parse_line(raw)
-            except RecordError as exc:
-                report.invalid += 1
-                report.details.append(f"{path}:{lineno}: {exc}")
-                continue
-            try:
-                outcome = self.add(record, replace=replace, config=config)
+                solver, _, _, collection, problem, pairs = parse_fields(raw)
+                key = StoreKey(solver, collection, problem)
+                outcome = self._put(key, pairs, replace, config)
             except DuplicateEntryError as exc:
                 report.duplicates += 1
                 report.details.append(f"{path}:{lineno}: {exc}")
-                continue
-            except StoreError as exc:
+            except (RecordError, StoreError) as exc:
                 report.invalid += 1
                 report.details.append(f"{path}:{lineno}: {exc}")
-                continue
-            if outcome == REPLACED:
-                report.replaced += 1
             else:
-                report.added += 1
+                if outcome == REPLACED:
+                    report.replaced += 1
+                else:
+                    report.added += 1
         return report
+
+
+def _read_text(path: Path | str, what: str) -> str:
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise StoreError(f"cannot read {what} {path}: {exc}") from exc
 
 
 @contextmanager

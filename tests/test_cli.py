@@ -140,6 +140,15 @@ def test_add_delete_test_mode(env, capsys):
     assert (wd / "dtbopt").read_bytes() == before
 
 
+def test_non_utf8_store_exits_two_with_one_line(env, capsys):
+    _, wd = env
+    (wd / "dtbopt").write_bytes(b"\xff%c%p%info=0%n=1\n")
+    (wd / "r.lbt").write_text("libopt%a%c%p%info=0%n=1\n")
+    assert main(["add", "r.lbt"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "dtbopt" in err
+
+
 def test_add_requires_a_source(env):
     assert main(["add"]) == 2
 

@@ -107,6 +107,10 @@ def test_parse_spec_accumulates_and_filters():
         "solver a b\nperformance t\nproblem n ~ 3\n",  # bad relation
         "solver a b\nperformance t\nspeed fast\n",  # unknown directive
         "solver a b\nperformance t\nproblem n >=\n",  # missing threshold
+        "solver a b\nperformance t\nrho_max nan\n",  # not finite
+        "solver a b\nperformance t\nrho_max inf\n",  # not finite
+        "solver a b\nperformance t\nproblem n < nan\n",  # non-finite threshold
+        "solver a b\nperformance t\nproblem n >= -inf\n",  # non-finite threshold
     ],
 )
 def test_parse_spec_rejects(text):

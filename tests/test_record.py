@@ -75,11 +75,37 @@ def test_tag_splits_at_first_dot_only():
         "libopt%solv%coll%prob%n=1%m=2",  # missing info
         "libopt%solv%coll%prob%info=0%n=1%n=2",  # duplicate token
         "libopt%.tag%coll%prob%info=0%n=1",  # empty solver before the dot
+        "libopt%solv%coll%prob%info=0%n=1e999",  # non-finite after float()
+        "libopt%solv.t\u00a0ag%coll%prob%info=0%n=1",  # non-ASCII space in the tag
+        "libopt%solv%coll%pr\rob%info=0%n=1",  # embedded carriage return
+        "libopt%solv%coll%prob%info=0%n=1 # a\rb",  # carriage return in a comment
     ],
 )
 def test_parse_rejects(line):
     with pytest.raises(RecordError):
         parse_line(line)
+
+
+@pytest.mark.parametrize(
+    "line,solver,tag,pairs",
+    [
+        ("libopt%s%c%p%info=0%x=5.", "s", None, [("info", 0.0), ("x", 5.0)]),
+        ("libopt%s%c%p%info=0%x=.5", "s", None, [("info", 0.0), ("x", 0.5)]),
+        ("libopt%s%c%p%info=0%x=+1E+3", "s", None, [("info", 0.0), ("x", 1000.0)]),
+        (" \tlibopt \t%s%c%p%info = 0%x\t=\t-2", "s", None, [("info", 0.0), ("x", -2.0)]),
+        ("libopt%s.v1.2.rc%c%p%info=1%x=3", "s", "v1.2.rc", [("info", 1.0), ("x", 3.0)]),
+    ],
+)
+def test_parse_accepts(line, solver, tag, pairs):
+    record = parse_line(line)
+    assert (record.solver, record.tag, record.collection, record.problem) == (
+        solver,
+        tag,
+        "c",
+        "p",
+    )
+    assert [(p.token, p.value) for p in record.pairs] == pairs
+    assert parse_line(serialize(record)) == record
 
 
 def test_serialize_minimal_record():
@@ -142,23 +168,42 @@ def test_blank_and_comment_insensitivity(record, data):
     assert parse_line(padded) == record
 
 
+# text near the grammar: fragments of valid lines, stray blanks and separators
+line_like = st.lists(
+    st.sampled_from(
+        ["libopt", "%", "s", "s.t", "c", "p", "info", "n", "=", "0", "1e5", "-.5",
+         "1e999", " ", "\t", "#", "\r", "\n", "\u00a0", "\u0663", "."]
+    )
+).map("".join)
+
+
+@settings(max_examples=500)
+@given(st.text() | line_like)
+def test_parse_line_returns_record_or_raises_record_error(text):
+    try:
+        record = parse_line(text)
+    except RecordError:
+        return
+    assert parse_line(serialize(record)) == record
+
+
 def test_validate_tokens_subset_ok():
     record = parse_line("libopt%s%c%p%n=1%nfc=2%info=0")
     config = TokenConfig(valid_tokens=frozenset({"n", "nfc", "nga", "info"}))
-    assert validate_tokens(record, config) == []
+    assert validate_tokens(record.pairs, record.key_text(), config) == []
 
 
 def test_validate_tokens_reports_unknown():
     record = parse_line("libopt%s%c%p%nfg=2%info=0")
     config = TokenConfig(valid_tokens=frozenset({"nfc", "info"}))
-    errors = validate_tokens(record, config)
+    errors = validate_tokens(record.pairs, record.key_text(), config)
     assert len(errors) == 1
     assert "nfg" in errors[0]
 
 
 def test_validate_tokens_no_config_no_verification():
     record = parse_line("libopt%s%c%p%weird=2%info=0")
-    assert validate_tokens(record, TokenConfig()) == []
+    assert validate_tokens(record.pairs, record.key_text(), TokenConfig()) == []
 
 
 def test_validate_tokens_requires_performance_pair_when_configured():
@@ -167,9 +212,10 @@ def test_validate_tokens_requires_performance_pair_when_configured():
         performance_tokens=frozenset({"nfc"}),
     )
     good = parse_line("libopt%s%c%p%nfc=2%info=0")
-    assert validate_tokens(good, config) == []
+    assert validate_tokens(good.pairs, good.key_text(), config) == []
     bad = parse_line("libopt%s%c%p%n=10%info=0")
-    assert any("performance" in e for e in validate_tokens(bad, config))
+    errors = validate_tokens(bad.pairs, bad.key_text(), config)
+    assert any("performance" in e for e in errors)
 
 
 def test_token_config_rejects_stray_performance_tokens():

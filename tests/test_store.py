@@ -3,6 +3,7 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from libopt.record import TokenConfig, parse_line
 from libopt.store import (
@@ -55,6 +56,48 @@ def test_open_rejects_duplicate_keys(tmp_path):
     path.write_text("a%c%p%info=0%n=1\na%c%p%info=0%n=2\n")
     with pytest.raises(StoreError):
         Store.open(path)
+
+
+def test_open_non_utf8_store_is_store_error(tmp_path):
+    path = tmp_path / "dtbopt"
+    path.write_bytes(b"a%c%p%info=0%n=1\n\xff\xfe%c%p%info=0%n=1\n")
+    with pytest.raises(StoreError) as err:
+        Store.open(path)
+    assert str(path) in str(err.value)
+
+
+def test_import_and_delete_non_utf8_file_is_store_error(tmp_path):
+    path = tmp_path / "r.lbt"
+    path.write_bytes(b"libopt%a%c%p%info=0%n=1 # caf\xe9\n")
+    store = Store()
+    with pytest.raises(StoreError) as err:
+        store.import_file(path)
+    assert str(path) in str(err.value)
+    with pytest.raises(StoreError) as err:
+        store.delete(path)
+    assert str(path) in str(err.value)
+
+
+# bytes near the store format: entry fragments, separators, stray bytes
+store_like = st.lists(
+    st.sampled_from(
+        [b"a", b"b.t", b"%", b"c", b"p", b"info", b"n", b"=", b"0", b"2.5", b"1e999",
+         b" ", b"#", b"\n", b"\r", b"\xff", b"\xc3\xa9", b"\xe2\x80\xa8"]
+    )
+).map(b"".join)
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.binary() | store_like)
+def test_open_arbitrary_bytes_returns_store_or_raises_store_error(tmp_path, data):
+    path = tmp_path / "dtbopt"
+    path.write_bytes(data)
+    try:
+        store = Store.open(path)
+    except StoreError:
+        return
+    store.save()
+    assert Store.open(path).query() == store.query()
 
 
 def test_add_duplicate_is_an_error():
