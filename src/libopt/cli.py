@@ -8,6 +8,7 @@ duplicates, findings), 2 usage or configuration errors.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from dataclasses import dataclass
@@ -291,11 +292,18 @@ def main(argv: list[str] | None = None, prog: str | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 0 for -h, 2 for usage errors
         return int(exc.code or 0)
+    # No cyclic-GC passes while a handler runs: the stores and tables it
+    # builds are large and acyclic, so a pass would only rescan them.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.handler(args)
     except LiboptError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 def entry() -> None:

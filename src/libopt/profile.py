@@ -21,16 +21,16 @@ from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_right
 from contextlib import suppress
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 from typing import Callable
 
 from .errors import LiboptError
 from .hierarchy import read_list
 from .record import INFO_TOKEN, TokenConfig, check_name, split_solver_field
-from .store import Selection, Store
+from .store import Store
 
 SPEC_FILENAME = "perfopt.spc"
 DEFAULT_OUTPUT_BASE = "perf"
@@ -237,7 +237,7 @@ def select(
     per_solver: dict[str, dict[ProblemId, dict[str, float]]] = {
         s: {} for s in spec.solvers
     }
-    for key, pairs in store.query(Selection()):
+    for key, pairs in store.entries():
         if key.solver_with_tag in per_solver:
             per_solver[key.solver_with_tag][key.collection, key.problem] = dict(pairs)
     if candidates is not None:
@@ -295,7 +295,9 @@ def compute_ratios(
     tau is absent for a failed run. Every problem with at least one
     success is normalized by its best tau, so its minimum finite ratio
     is 1; failures (and whole all-fail rows) sit at rho_bar. Without an
-    override, rho_bar is twice the largest finite ratio, floored at 2.
+    override, rho_bar is twice the largest finite ratio, floored at 2. An
+    override must exceed every finite ratio (parse_spec has checked that
+    it exceeds 1).
     """
     if not table.problems:
         raise ProfileError("no eligible problems")
@@ -333,8 +335,6 @@ def compute_ratios(
                 max_finite = ratio
 
     if rho_bar_override is not None:
-        if rho_bar_override <= 1.0:
-            raise ProfileError("rho_max must be greater than 1")
         if max_finite is not None and rho_bar_override <= max_finite:
             raise ProfileError(
                 f"rho_max {format_ratio(rho_bar_override)} does not exceed the"
@@ -369,16 +369,24 @@ class StepFunction:
 
 
 def compute_profiles(matrix: RatioMatrix) -> list[StepFunction]:
-    """Evaluate each solver's step function on the shared breakpoint grid."""
+    """Evaluate each solver's step function on the shared breakpoint grid.
+
+    Every ratio is a grid value, so a solver's value at grid point i is
+    its count of ratios at points 0..i over the problem count.
+    """
     count = len(matrix.problems)
     finite = {r for r in matrix.rho.values() if r < matrix.rho_bar}
     grid = sorted({1.0, *finite}) + [matrix.rho_bar]
+    index = {t: i for i, t in enumerate(grid)}
+    fractions = [solved / count for solved in range(count + 1)]
     profiles = []
     for s in matrix.solvers:
-        ratios = sorted(matrix.rho[(p, s)] for p in matrix.problems)
-        breakpoints = tuple((t, bisect_right(ratios, t) / count) for t in grid)
+        hits = [0] * len(grid)
+        for p in matrix.problems:
+            hits[index[matrix.rho[(p, s)]]] += 1
+        values = map(fractions.__getitem__, accumulate(hits))
         solved = sum(1 for p in matrix.problems if matrix.tau[(p, s)] is not None)
-        profiles.append(StepFunction(s, breakpoints, solved / count))
+        profiles.append(StepFunction(s, tuple(zip(grid, values)), solved / count))
     return profiles
 
 
@@ -390,15 +398,29 @@ def _x_of(t: float, log_scale: bool) -> float:
     return math.log2(t) if log_scale else t
 
 
-def _staircase_rows(profile: StepFunction, log_scale: bool) -> list[str]:
+class _Formatted(dict):
+    """``format_ratio(_x_of(key, log_scale))``, computed once per distinct key."""
+
+    def __init__(self, log_scale: bool = False):
+        super().__init__()
+        self.log_scale = log_scale
+
+    def __missing__(self, key: float) -> str:
+        text = self[key] = format_ratio(_x_of(key, self.log_scale))
+        return text
+
+
+def _staircase_rows(
+    profile: StepFunction, x_text: _Formatted, y_text: _Formatted
+) -> list[str]:
     # repeat the previous value at each jump so steps render as horizontal segments
     rows: list[str] = []
     prev_value = None
     for t, value in profile.breakpoints:
-        x = format_ratio(_x_of(t, log_scale))
+        x = x_text[t]
         if prev_value is not None and value != prev_value:
-            rows.append(f"{x} {format_ratio(prev_value)}")
-        rows.append(f"{x} {format_ratio(value)}")
+            rows.append(f"{x} {y_text[prev_value]}")
+        rows.append(f"{x} {y_text[value]}")
         prev_value = value
     return rows
 
@@ -412,8 +434,9 @@ def emit_gnuplot(profiles: list[StepFunction], log_scale: bool = False) -> str:
     ]
     if not profiles:
         return "\n".join(header) + "\n"
+    x_text, y_text = _Formatted(log_scale), _Formatted()
     blocks = [
-        "\n".join([f"# solver {p.solver}"] + _staircase_rows(p, log_scale))
+        "\n".join([f"# solver {p.solver}"] + _staircase_rows(p, x_text, y_text))
         for p in profiles
     ]
     return "\n".join(header) + "\n\n" + "\n\n\n".join(blocks) + "\n"
@@ -426,10 +449,10 @@ def emit_matlab(profiles: list[StepFunction], log_scale: bool = False) -> str:
     if not profiles:
         lines.append("error('no eligible problems: nothing to plot');")
         return "\n".join(lines) + "\n"
+    x_text, y_text = _Formatted(log_scale), _Formatted()
     for i, profile in enumerate(profiles, 1):
         lines.append(f"data{i} = [")
-        for t, value in profile.breakpoints:
-            lines.append(f"  {format_ratio(_x_of(t, log_scale))} {format_ratio(value)}")
+        lines += [f"  {x_text[t]} {y_text[value]}" for t, value in profile.breakpoints]
         lines.append("];")
     lines.append("figure;")
     lines.append("hold on;")
@@ -441,10 +464,7 @@ def emit_matlab(profiles: list[StepFunction], log_scale: bool = False) -> str:
     lines.append(f"xlabel('{x_label}');")
     lines.append("ylabel('fraction of problems');")
     first = profiles[0].breakpoints
-    lines.append(
-        f"axis([{format_ratio(_x_of(first[0][0], log_scale))}"
-        f" {format_ratio(_x_of(first[-1][0], log_scale))} 0 1]);"
-    )
+    lines.append(f"axis([{x_text[first[0][0]]} {x_text[first[-1][0]]} 0 1]);")
     return "\n".join(lines) + "\n"
 
 

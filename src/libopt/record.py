@@ -262,15 +262,20 @@ def filter_stream(
             continue
         if tag is not None:
             line = _append_tag(line, tag)
-            record = parse_line(line)
+            # the rewritten solver field is solver.old_tag.tag, or solver.tag
+            joined = tag if record.tag is None else f"{record.tag}.{tag}"
+            record = LiboptRecord(
+                record.solver, record.collection, record.problem, record.pairs, joined
+            )
         if records is not None:
             records.append(record)
         yield line
 
 
 def iter_result_lines(text: str) -> Iterator[tuple[int, str]]:
-    """Yield (lineno, line) for the non-blank, non-comment lines of a result file."""
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    """Yield (lineno, line) for the non-blank, non-comment lines of a result
+    file read in universal-newline mode: only "\\n" ends a line."""
+    for lineno, raw in enumerate(text.split("\n"), 1):
         body = raw.split("#", 1)[0]
         if body.strip():
             yield lineno, raw

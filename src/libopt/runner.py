@@ -187,13 +187,19 @@ def execute(
     if platform is not None:
         child_env[PLATFORM_ENV_VAR] = platform
     outcome = RunOutcome(0)
-    proc = subprocess.Popen(
-        argv,
-        cwd=str(working_dir),
-        env=child_env,
-        stdout=subprocess.PIPE,
-        text=True,
-    )
+    try:
+        proc = subprocess.Popen(
+            argv,
+            cwd=str(working_dir),
+            env=child_env,
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+    except OSError as exc:
+        # e.g. a shebang naming a missing interpreter: the shell's 127/126
+        status = 127 if isinstance(exc, FileNotFoundError) else 126
+        reason = exc.strerror or exc
+        return RunOutcome(status, warnings=[f"cannot execute driver {driver}: {reason}"])
     assert proc.stdout is not None
     stream = (line.rstrip("\n") for line in proc.stdout)
     for line in filter_stream(

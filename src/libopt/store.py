@@ -14,7 +14,7 @@ import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import LiboptError
 from .record import (
@@ -198,6 +198,10 @@ class Store:
             return REPLACED
         self._entries[key_text] = (key, pairs)
         return ADDED
+
+    def entries(self) -> Iterable[tuple[StoreKey, tuple[TokenPair, ...]]]:
+        """Every entry, in no particular order."""
+        return self._entries.values()
 
     def query(
         self, selection: Selection | None = None

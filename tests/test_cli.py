@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import io
 from pathlib import Path
 
@@ -147,6 +148,28 @@ def test_non_utf8_store_exits_two_with_one_line(env, capsys):
     assert main(["add", "r.lbt"]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "dtbopt" in err
+
+
+def test_add_comment_with_unicode_line_break_is_one_line(env, capsys):
+    _, wd = env
+    (wd / "r.lbt").write_text("libopt%a%c%p%info=0%n=1 # note\x85more\n")
+    assert main(["add", "r.lbt"]) == 0
+    assert "added 1, replaced 0, duplicates 0, invalid 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_restores_the_garbage_collector_state(env, enabled):
+    _, wd = env
+    (wd / "r.lbt").write_text("libopt%a%c%p%info=0%n=1\n")
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        assert main(["add", "r.lbt"]) == 0
+        assert gc.isenabled() is enabled
+        assert main(["add", "missing.lbt"]) == 2  # a LiboptError exit
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was else gc.disable()
 
 
 def test_add_requires_a_source(env):

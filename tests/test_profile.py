@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import random
+from bisect import bisect_right
 
 import pytest
 
@@ -9,6 +11,7 @@ from libopt.profile import (
     ProfileError,
     ResultTable,
     SpecError,
+    StepFunction,
     compute_profiles,
     compute_ratios,
     emit_gnuplot,
@@ -450,16 +453,12 @@ def test_emit_gnuplot_staircase_rows():
 
 
 def test_emit_gnuplot_simple_step():
-    from libopt.profile import StepFunction
-
     step = StepFunction("s", ((1.0, 0.5), (3.0, 1.0)), 1.0)
     text = emit_gnuplot([step])
     assert "1 0.5\n3 0.5\n3 1\n" in text
 
 
 def test_emit_gnuplot_log_scale():
-    from libopt.profile import StepFunction
-
     step = StepFunction("s", ((1.0, 0.5), (3.0, 1.0)), 1.0)
     text = emit_gnuplot([step], log_scale=True)
     assert "0 0.5" in text
@@ -497,3 +496,110 @@ def test_emit_matlab_log_scale_label_and_data():
 def test_emit_matlab_empty_errors_out():
     text = emit_matlab([])
     assert "error(" in text
+
+
+# --- kernel and emitters against plain references ----------------------------
+
+
+def bisect_profiles(matrix):
+    """Reference kernel: one bisect per grid point per solver."""
+    count = len(matrix.problems)
+    finite = {r for r in matrix.rho.values() if r < matrix.rho_bar}
+    grid = sorted({1.0, *finite}) + [matrix.rho_bar]
+    profiles = []
+    for s in matrix.solvers:
+        ratios = sorted(matrix.rho[(p, s)] for p in matrix.problems)
+        breakpoints = tuple((t, bisect_right(ratios, t) / count) for t in grid)
+        solved = sum(1 for p in matrix.problems if matrix.tau[(p, s)] is not None)
+        profiles.append(StepFunction(s, breakpoints, solved / count))
+    return profiles
+
+
+def fmt(x, log_scale=False):
+    return f"{math.log2(x) if log_scale else x:.6g}"
+
+
+def reference_gnuplot(profiles, log_scale):
+    """Reference emitter: every row formatted on its own."""
+    x_label = "log2(performance ratio)" if log_scale else "performance ratio"
+    text = f"# performance profile data\n# x: {x_label}, y: fraction of problems\n"
+    blocks = []
+    for p in profiles:
+        rows, prev = [f"# solver {p.solver}"], None
+        for t, value in p.breakpoints:
+            if prev is not None and value != prev:
+                rows.append(f"{fmt(t, log_scale)} {fmt(prev)}")
+            rows.append(f"{fmt(t, log_scale)} {fmt(value)}")
+            prev = value
+        blocks.append("\n".join(rows))
+    return text + "\n" + "\n\n\n".join(blocks) + "\n"
+
+
+def reference_matlab(profiles, log_scale):
+    """Reference Matlab script: every row formatted on its own."""
+    lines = ["% performance profile data"]
+    for i, p in enumerate(profiles, 1):
+        lines.append(f"data{i} = [")
+        lines += [f"  {fmt(t, log_scale)} {fmt(v)}" for t, v in p.breakpoints]
+        lines.append("];")
+    lines += ["figure;", "hold on;"]
+    lines += [f"stairs(data{i}(:,1), data{i}(:,2));" for i in range(1, len(profiles) + 1)]
+    names = ", ".join(f"'{p.solver}'" for p in profiles)
+    x_label = "log2(performance ratio)" if log_scale else "performance ratio"
+    first = profiles[0].breakpoints
+    lines += [
+        "hold off;",
+        f"legend({names}, 'Location', 'SouthEast');",
+        f"xlabel('{x_label}');",
+        "ylabel('fraction of problems');",
+        f"axis([{fmt(first[0][0], log_scale)} {fmt(first[-1][0], log_scale)} 0 1]);",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def random_table(seed):
+    """Solvers x problems with ties (few distinct taus), all-fail rows and
+    a chance of a single problem."""
+    rng = random.Random(seed)
+    solvers = [f"s{i}" for i in range(rng.randint(2, 6))]
+    n_problems = 1 if seed % 4 == 0 else rng.randint(2, 60)
+    taus = [float(rng.randint(1, 12)) for _ in range(rng.randint(1, 8))]
+    rows = {}
+    for p in range(n_problems):
+        all_fail = rng.random() < 0.15
+        rows[f"p{p}"] = {
+            s: (1 if all_fail or rng.random() < 0.2 else 0, rng.choice(taus))
+            for s in solvers
+        }
+    return table(solvers, rows)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_compute_profiles_matches_bisect_reference(seed):
+    t = random_table(seed)
+    for override in (None, 1000.0):
+        matrix = compute_ratios(t, "nfc", override)
+        assert compute_profiles(matrix) == bisect_profiles(matrix)
+
+
+@pytest.mark.parametrize("seed", range(40))
+@pytest.mark.parametrize("log_scale", [False, True])
+def test_emitters_match_per_row_reference(seed, log_scale):
+    profiles = compute_profiles(compute_ratios(random_table(seed), "nfc"))
+    assert emit_gnuplot(profiles, log_scale) == reference_gnuplot(profiles, log_scale)
+    assert emit_matlab(profiles, log_scale) == reference_matlab(profiles, log_scale)
+
+
+def test_random_tables_cover_ties_failures_and_single_problems():
+    tables = [random_table(seed) for seed in range(40)]
+    assert any(len(t.problems) == 1 for t in tables)
+    assert any(
+        all(t.values[(p, s)]["info"] != 0.0 for s in t.solvers)
+        for t in tables
+        for p in t.problems
+    )
+    assert any(
+        len({t.values[(p, s)]["nfc"] for s in t.solvers}) < len(t.solvers)
+        for t in tables
+        for p in t.problems
+    )

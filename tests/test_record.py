@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from libopt.record import (
     LiboptRecord,
+    _append_tag,
     RecordError,
     TokenConfig,
     TokenPair,
@@ -279,6 +280,32 @@ def test_filter_stream_modifies_iff_line_parses():
     assert out[1:] == lines[1:]
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "libopt%goya%c%p%info=0%t=1",  # untagged
+        "libopt%goya.old%c%p%info=0%t=1",  # already tagged
+        "libopt%goya.a.b%c%p%info=0%t=1",  # tag with a later dot
+        " libopt % goya\t% c % p % n=3 % info=0  ",  # padded
+        "libopt%goya%c%p%info=0%t=1 # comment % with = signs",  # commented
+        "libopt % goya.old % c%p%info=1%t=2.5e3# tight comment",
+    ],
+)
+@pytest.mark.parametrize("tag", ["v2", "x.y"])
+def test_filter_stream_tagged_record_equals_reparse(line, tag):
+    records_out = []
+    (out,) = filter_stream([line], tag=tag, records=records_out)
+    assert out == _append_tag(line, tag)
+    assert records_out == [parse_line(out)]
+
+
 def test_iter_result_lines_skips_blanks_and_comments():
     text = "# header\n\nlibopt%a%b%c%info=0%n=1\n   \n# x\nlibopt%d%e%f%info=1%n=2\n"
     assert [lineno for lineno, _ in iter_result_lines(text)] == [3, 6]
+
+
+def test_iter_result_lines_breaks_only_at_newline():
+    # \x85, \v, \f, \x1c-\x1e, \u2028 and \u2029 stay inside their line
+    for char in "\x85\v\f\x1c\x1d\x1e\u2028\u2029":
+        text = f"libopt%a%c%p%info=0%n=1 # note{char}more\nlibopt%a%c%q%info=0%n=1\n"
+        assert [lineno for lineno, _ in iter_result_lines(text)] == [1, 2]

@@ -296,3 +296,30 @@ def test_run_batch_counts_driver_failures(spy_tree):
         RunOptions(), wd, root, ["spysolv spycoll px"], out=io.StringIO(), err=io.StringIO()
     )
     assert summary.failures == 1
+
+
+def test_driver_that_cannot_be_executed_is_a_failed_run(spy_tree):
+    root, wd = spy_tree
+    bad = root / "solvers/badsolv/spycoll/badsolv_spycoll"
+    _write(bad, "#!/nonexistent/interp\nprint('never')\n")
+    os.chmod(bad, 0o755)
+    _write(root / "solvers/badsolv/spycoll/all.lst", "px\n")
+    _write(root / "solvers/badsolv/spycoll/default.lst", "px\n")
+    out, err = io.StringIO(), io.StringIO()
+    summary = run_batch(
+        RunOptions(), wd, root, ["badsolv spycoll", "spysolv spycoll"], out=out, err=err
+    )
+    assert (summary.runs, summary.failures) == (2, 1)
+    assert "libopt%spysolv%spycoll%px%" in out.getvalue()
+    warnings = [l for l in err.getvalue().splitlines() if l.startswith("warning:")]
+    assert len(warnings) == 1 and "cannot execute driver" in warnings[0]
+    assert "exited with status 127 on px" in err.getvalue()
+
+
+def test_driver_exec_format_error_is_status_126(spy_tree):
+    root, wd = spy_tree
+    driver = root / "solvers/spysolv/spycoll/spysolv_spycoll"
+    driver.write_bytes(b"\x7fELF not really a binary\n")
+    outcome = execute(ElementaryRun("spysolv", None, "spycoll", "px"), wd, root)
+    assert outcome.status == 126
+    assert len(outcome.warnings) == 1
