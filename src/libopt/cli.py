@@ -13,6 +13,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .config import (
@@ -23,20 +24,16 @@ from .config import (
     resolve_store_path,
     token_config,
 )
-from .errors import LiboptError
-from .hierarchy import Report, generate_indexes, verify
-from .profile import (
-    SPEC_FILENAME,
-    compute_profiles,
-    compute_ratios,
-    gather_candidate_problems,
-    parse_spec,
-    select,
-    write_outputs,
-)
+from .errors import LiboptError, read_text
 from .record import TokenConfig
-from .runner import RunOptions, check_working_dir, run_batch
-from .store import Selection, Store, locked, parse_selection
+
+if TYPE_CHECKING:
+    from .hierarchy import Report
+    from .store import Store
+
+# Each handler imports its own stage modules: every call pays for the
+# modules it loads, and `add` uses none of those of `run`, `profile` or
+# `install`.
 
 EXIT_OK = 0
 EXIT_PARTIAL = 1
@@ -90,6 +87,8 @@ def _context(config_path: str | None) -> GlobalContext:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    from .runner import RunOptions, check_working_dir, run_batch
+
     root = _require_root()
     working_dir = Path.cwd()
     check_working_dir(working_dir, root)
@@ -98,7 +97,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         path = Path(args.command_file)
         if not path.is_file():
             raise LiboptError(f"command file not found: {path}")
-        lines = path.read_text().splitlines()
+        lines = read_text(path, "command file").splitlines()
     else:
         lines = (line.rstrip("\n") for line in sys.stdin)
     summary = run_batch(
@@ -113,6 +112,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_add(args: argparse.Namespace) -> int:
+    from .store import Store, locked, parse_selection
+
     ctx = _context(args.config)
     store_path = resolve_store_path(args.db, ctx.startup, ctx.working_dir)
     if args.delete is None and args.resfile is None:
@@ -165,19 +166,32 @@ def cmd_add(args: argparse.Namespace) -> int:
 
 
 def _list_matches(store: Store, target, wanted: bool) -> None:
+    from .store import Selection
+
     if wanted and isinstance(target, Selection):
         for key, _ in store.query(target):
             print(key.text(), file=sys.stderr)
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
+    from .profile import (
+        SPEC_FILENAME,
+        compute_profiles,
+        compute_ratios,
+        gather_candidate_problems,
+        parse_spec,
+        select,
+        write_outputs,
+    )
+    from .store import Store
+
     ctx = _context(args.config)
     store_path = resolve_store_path(args.db, ctx.startup, ctx.working_dir)
     spec_path = ctx.working_dir / SPEC_FILENAME
     if not spec_path.is_file():
         raise LiboptError(f"specification file {SPEC_FILENAME} not found: it is mandatory")
     spec = parse_spec(
-        spec_path.read_text(),
+        read_text(spec_path, "specification file"),
         cli_ptok=args.ptok,
         cli_log=args.log,
         cli_output=args.gfile,
@@ -209,6 +223,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 
 def cmd_install(args: argparse.Namespace) -> int:
+    from .hierarchy import generate_indexes, verify
+
     root = _require_root()
     if args.test:
         print("test mode: index lists not regenerated", file=sys.stderr)

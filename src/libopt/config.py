@@ -16,7 +16,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import LiboptError
+from .errors import LiboptError, read_text
 from .record import RecordError, TokenConfig, check_name
 
 ROOT_ENV_VAR = "LIBOPT_DIR"
@@ -119,7 +119,7 @@ def load_startup(
         if required:
             raise ConfigError(f"startup file not found: {path}")
         return None
-    return parse_startup(path.read_text(), source_path=path)
+    return parse_startup(read_text(path, "startup file", ConfigError), source_path=path)
 
 
 def token_config(startup: StartupFile | None) -> TokenConfig:

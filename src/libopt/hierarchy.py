@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-from .errors import LiboptError
+from .errors import LiboptError, read_text
 from .record import check_name, is_name
 
 COLLECTIONS_DIR = "collections"
@@ -64,7 +64,8 @@ def parse_list(
 
 
 def read_list(path: Path, warn: WarnFn | None = None) -> ProblemList:
-    return parse_list(path.read_text(), source=path, warn=warn)
+    text = read_text(path, "list file", HierarchyError)
+    return parse_list(text, source=path, warn=warn)
 
 
 def locate_list(
@@ -184,7 +185,7 @@ class Report:
 def _checked_list(path: Path, report: Report, rel: Path) -> ProblemList | None:
     try:
         return read_list(path, warn=report.warning)
-    except (OSError, LiboptError) as exc:
+    except LiboptError as exc:
         report.error(f"{rel}: {exc}")
         return None
 

@@ -237,9 +237,11 @@ def select(
     per_solver: dict[str, dict[ProblemId, dict[str, float]]] = {
         s: {} for s in spec.solvers
     }
-    for key, pairs in store.entries():
+    for key, tokens, values in store.entries():
         if key.solver_with_tag in per_solver:
-            per_solver[key.solver_with_tag][key.collection, key.problem] = dict(pairs)
+            per_solver[key.solver_with_tag][key.collection, key.problem] = dict(
+                zip(tokens, values)
+            )
     if candidates is not None:
         pool = list(candidates)
     else:

@@ -14,10 +14,13 @@ Names match ``[A-Za-z0-9_]+``, a tag is any run of characters other
 than ``%``, ``#`` and whitespace, and numbers are decimal with optional
 sign, point and exponent. ``LINE_RE`` is this whole grammar in one
 compiled pattern, so ``parse_fields`` checks each field once, then what
-a pattern cannot: at least two pairs, no duplicate token, an ``info``
-pair, finite values. ``_diagnose`` names the first bad field of a line
-that does not match. The record types are plain carriers: the parser
-vouches for their contents.
+a pattern cannot, in ``split_pairs``: the token sequence goes through
+``token_layout`` (at least two pairs, no duplicate token, an ``info``
+pair), and every value must be finite. ``_diagnose`` names the first
+bad field of a line that does not match. ``ENTRY_RE`` matches the
+canonical store entry, the same grammar without blanks, comment or
+sentinel. The record types are plain carriers: the parser vouches for
+their contents.
 """
 from __future__ import annotations
 
@@ -36,6 +39,7 @@ _BLANKS = " \t"
 _B = f"[{_BLANKS}]*"
 _NAME = "[A-Za-z0-9_]+"
 _NUMBER = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+_TAG = r"[^%#\s]+"
 _PAIR = rf"%{_B}{_NAME}{_B}={_B}{_NUMBER}{_B}"
 
 # solver/collection/problem/token names are "words"
@@ -44,8 +48,16 @@ NAME_RE = re.compile(_NAME + r"\Z")
 NUMBER_RE = re.compile(_NUMBER + r"\Z")
 # groups: solver[.tag], solver, tag, collection, problem, all pairs
 LINE_RE = re.compile(
-    rf"{_B}{SENTINEL}{_B}%{_B}(({_NAME})(?:\.([^%#\s]+))?){_B}%{_B}({_NAME}){_B}"
+    rf"{_B}{SENTINEL}{_B}%{_B}(({_NAME})(?:\.({_TAG}))?){_B}%{_B}({_NAME}){_B}"
     rf"%{_B}({_NAME}){_B}((?:{_PAIR})*)(?:#[^\n\r]*)?\Z"
+)
+# Over a whole store text (re.M), one match per "\n"-separated line: the
+# canonical entry ``key%token=number...`` as Store.save writes it, or any
+# other line whole in the last group.
+# groups: key text, solver[.tag], collection, problem, all pairs; other line
+ENTRY_RE = re.compile(
+    rf"^(?:(({_NAME}(?:\.{_TAG})?)%({_NAME})%({_NAME}))((?:%{_NAME}={_NUMBER})+)$|(.*))",
+    re.M,
 )
 
 
@@ -95,6 +107,50 @@ class TokenPair(NamedTuple):
 _new_pair = partial(tuple.__new__, TokenPair)
 
 
+def pairs_of(
+    tokens: tuple[str, ...], values: tuple[float, ...]
+) -> tuple[TokenPair, ...]:
+    """The (token, value) pairs of a token layout and its values."""
+    return tuple(map(_new_pair, zip(tokens, values)))
+
+
+# every token sequence token_layout has passed, each kept once: entries
+# with the same tokens in the same order share one tuple
+_LAYOUTS: dict[tuple[str, ...], tuple[str, ...]] = {}
+
+
+def token_layout(tokens: tuple[str, ...]) -> tuple[str, ...]:
+    """The shared copy of a line's token sequence; raises RecordError
+    unless it has at least two tokens, no duplicate and an ``info``."""
+    layout = _LAYOUTS.get(tokens)
+    if layout is not None:
+        return layout
+    if len(tokens) < 2:
+        raise RecordError("a result needs at least two token-number pairs")
+    if len(set(tokens)) < len(tokens):
+        dup = next(t for i, t in enumerate(tokens) if t in tokens[:i])
+        raise RecordError(f"duplicate token {dup!r}")
+    if INFO_TOKEN not in tokens:
+        raise RecordError(f"missing mandatory {INFO_TOKEN!r} pair")
+    _LAYOUTS[tokens] = tokens
+    return tokens
+
+
+def split_pairs(text: str) -> tuple[tuple[str, ...], tuple[float, ...]]:
+    """The (shared token layout, values) of the pairs part of a matched
+    line; raises RecordError for a bad layout or a non-finite value."""
+    # the matched pairs hold '%' and '=' only as separators: split them apart
+    items = text.replace("=", "%").split("%")
+    if " " in text or "\t" in text:
+        items = [item.strip(_BLANKS) for item in items]
+    tokens = token_layout(tuple(items[1::2]))
+    values = tuple(map(float, items[2::2]))
+    if not all(map(math.isfinite, values)):
+        bad = next(t for t, v in zip(tokens, values) if not math.isfinite(v))
+        raise RecordError(f"non-finite value for token {bad!r}")
+    return tokens, values
+
+
 @dataclass(frozen=True)
 class LiboptRecord:
     """One parsed result: who ran what, plus the measured token values."""
@@ -115,31 +171,13 @@ class LiboptRecord:
 
 def parse_fields(
     text: str,
-) -> tuple[str, str, str | None, str, str, tuple[TokenPair, ...]]:
+) -> tuple[str, str, str | None, str, str, tuple[str, ...], tuple[float, ...]]:
     """Parse one result line into (solver[.tag], solver, tag, collection,
-    problem, pairs); raises RecordError when malformed."""
+    problem, tokens, values); raises RecordError when malformed."""
     match = LINE_RE.match(text)
     if match is None:
         _diagnose(text)
-    # the matched pairs hold '%' and '=' only as separators: split them apart
-    tail = match[6]
-    items = tail.replace("=", "%").split("%")
-    if " " in tail or "\t" in tail:
-        items = [item.strip(_BLANKS) for item in items]
-    tokens = items[1::2]
-    values = list(map(float, items[2::2]))
-    if len(tokens) < 2:
-        raise RecordError("a result needs at least two token-number pairs")
-    if len(set(tokens)) < len(tokens):
-        dup = next(t for i, t in enumerate(tokens) if t in tokens[:i])
-        raise RecordError(f"duplicate token {dup!r}")
-    if INFO_TOKEN not in tokens:
-        raise RecordError(f"missing mandatory {INFO_TOKEN!r} pair")
-    if not all(map(math.isfinite, values)):
-        bad = next(t for t, v in zip(tokens, values) if not math.isfinite(v))
-        raise RecordError(f"non-finite value for token {bad!r}")
-    pairs = tuple(map(_new_pair, zip(tokens, values)))
-    return match.group(1, 2, 3, 4, 5) + (pairs,)
+    return match.group(1, 2, 3, 4, 5) + split_pairs(match[6])
 
 
 def _diagnose(text: str) -> NoReturn:
@@ -170,8 +208,8 @@ def _diagnose(text: str) -> NoReturn:
 
 def parse_line(text: str) -> LiboptRecord:
     """Parse one result line into a record; raises RecordError when malformed."""
-    _, solver, tag, collection, problem, pairs = parse_fields(text)
-    return LiboptRecord(solver, collection, problem, pairs, tag)
+    _, solver, tag, collection, problem, tokens, values = parse_fields(text)
+    return LiboptRecord(solver, collection, problem, pairs_of(tokens, values), tag)
 
 
 def serialize(record: LiboptRecord) -> str:
@@ -188,17 +226,9 @@ class TokenConfig:
     valid_tokens: frozenset[str] | None = None
     performance_tokens: frozenset[str] | None = None
 
-    def __post_init__(self) -> None:
-        if self.valid_tokens is not None and self.performance_tokens is not None:
-            stray = self.performance_tokens - self.valid_tokens
-            if stray:
-                raise RecordError(
-                    f"performance tokens not among the valid tokens: {sorted(stray)}"
-                )
-
 
 def validate_tokens(
-    pairs: tuple[TokenPair, ...], key_text: str, config: TokenConfig
+    tokens: tuple[str, ...], key_text: str, config: TokenConfig
 ) -> list[str]:
     """Check the tokens of the result keyed ``key_text`` against the
     configured sets.
@@ -209,11 +239,11 @@ def validate_tokens(
     """
     errors: list[str] = []
     if config.valid_tokens is not None:
-        for pair in pairs:
-            if pair.token not in config.valid_tokens:
-                errors.append(f"unknown token {pair.token!r} in {key_text}")
+        for token in tokens:
+            if token not in config.valid_tokens:
+                errors.append(f"unknown token {token!r} in {key_text}")
     if config.performance_tokens is not None:
-        if not any(p.token in config.performance_tokens for p in pairs):
+        if config.performance_tokens.isdisjoint(tokens):
             errors.append(f"no performance token in {key_text}")
     return errors
 
@@ -276,6 +306,10 @@ def iter_result_lines(text: str) -> Iterator[tuple[int, str]]:
     """Yield (lineno, line) for the non-blank, non-comment lines of a result
     file read in universal-newline mode: only "\\n" ends a line."""
     for lineno, raw in enumerate(text.split("\n"), 1):
-        body = raw.split("#", 1)[0]
-        if body.strip():
+        if not is_blank(raw):
             yield lineno, raw
+
+
+def is_blank(line: str) -> bool:
+    """True for a line of whitespace and an optional comment only."""
+    return not line.split("#", 1)[0].strip()

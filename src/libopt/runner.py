@@ -194,6 +194,8 @@ def execute(
             env=child_env,
             stdout=subprocess.PIPE,
             text=True,
+            # bytes that do not decode reach the filter as \xNN escapes
+            errors="backslashreplace",
         )
     except OSError as exc:
         # e.g. a shebang naming a missing interpreter: the shell's 127/126

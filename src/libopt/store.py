@@ -5,19 +5,31 @@ result's token-number pairs. On disk the store is plain text, one entry
 per line (the result line minus the sentinel field), sorted by key, so
 it diffs cleanly and ports anywhere. Writes go through a temp file plus
 rename, and an advisory lock file serializes concurrent writers.
+
+In memory an entry is ``(StoreKey, tokens, values)``: ``tokens`` is the
+one shared tuple of its token layout (``record.token_layout``), so a
+store holds one copy per distinct layout, ``values`` a tuple of floats
+in the same order, and the key's names are interned. ``Store.open``
+reads the whole file with ``record.ENTRY_RE``, which takes each line in
+the canonical form ``save`` writes; every other line (blank, comment,
+padded, corrupt) goes through ``parse_fields`` as a result line would,
+so a corrupt store fails on the same line with the same message.
 """
 from __future__ import annotations
 
 import fcntl
 import os
+import sys
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import LiboptError
+from .errors import LiboptError, read_text
 from .record import (
+    ENTRY_RE,
     SENTINEL,
     LiboptRecord,
     RecordError,
@@ -25,9 +37,13 @@ from .record import (
     TokenPair,
     check_name,
     format_number,
+    is_blank,
     iter_result_lines,
+    pairs_of,
     parse_fields,
+    split_pairs,
     split_solver_field,
+    token_layout,
     validate_tokens,
 )
 
@@ -54,6 +70,20 @@ class StoreKey(NamedTuple):
 
     def text(self) -> str:
         return f"{self.solver_with_tag}%{self.collection}%{self.problem}"
+
+
+# StoreKey from a tuple, without the Python-level __new__
+_new_key = partial(tuple.__new__, StoreKey)
+
+
+def _shared_key(solver_with_tag: str, collection: str, problem: str) -> StoreKey:
+    """A key whose names are interned: one string per distinct name."""
+    intern = sys.intern
+    return _new_key((intern(solver_with_tag), intern(collection), intern(problem)))
+
+
+# (key, token layout, values), the layout shared by every entry using it
+Entry = tuple[StoreKey, tuple[str, ...], tuple[float, ...]]
 
 
 @dataclass(frozen=True)
@@ -115,7 +145,7 @@ class Store:
 
     def __init__(self, path: Path | None = None):
         self.path = Path(path) if path is not None else None
-        self._entries: dict[str, tuple[StoreKey, tuple[TokenPair, ...]]] = {}
+        self._entries: dict[str, Entry] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -129,17 +159,25 @@ class Store:
         store = cls(Path(path))
         if not store.path.exists():
             return store
-        for lineno, raw in iter_result_lines(_read_text(path, "store")):
+        entries = store._entries
+        text = read_text(path, "store", StoreError)
+        for lineno, match in enumerate(ENTRY_RE.finditer(text), 1):
+            key_text, solver, collection, problem, pairs, line = match.groups()
             try:
-                solver, _, _, collection, problem, pairs = parse_fields(
-                    f"{SENTINEL}%{raw}"
-                )
+                if pairs is not None:
+                    tokens, values = split_pairs(pairs)
+                elif is_blank(line):
+                    continue
+                else:
+                    solver, _, _, collection, problem, tokens, values = parse_fields(
+                        f"{SENTINEL}%{line}"
+                    )
+                    key_text = f"{solver}%{collection}%{problem}"
             except RecordError as exc:
                 raise StoreError(f"{path}:{lineno}: corrupt entry: {exc}") from exc
-            key_text = f"{solver}%{collection}%{problem}"
-            if key_text in store._entries:
+            entry = (_shared_key(solver, collection, problem), tokens, values)
+            if entries.setdefault(key_text, entry) is not entry:
                 raise StoreError(f"{path}:{lineno}: duplicate key {key_text}")
-            store._entries[key_text] = (StoreKey(solver, collection, problem), pairs)
         return store
 
     def save(self) -> None:
@@ -148,9 +186,10 @@ class Store:
             raise StoreError("store has no backing path")
         lines = []
         for key_text in sorted(self._entries):
-            _, pairs = self._entries[key_text]
+            _, tokens, values = self._entries[key_text]
             body = "%".join(
-                [key_text] + [f"{p.token}={format_number(p.value)}" for p in pairs]
+                [key_text]
+                + [f"{t}={format_number(v)}" for t, v in zip(tokens, values)]
             )
             lines.append(body + "\n")
         self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -177,30 +216,33 @@ class Store:
     ) -> str:
         """Insert one record; a present key is only overwritten with replace."""
         key = StoreKey(record.solver_with_tag, record.collection, record.problem)
-        return self._put(key, record.pairs, replace, config)
+        tokens = token_layout(tuple(pair.token for pair in record.pairs))
+        values = tuple(pair.value for pair in record.pairs)
+        return self._put(key, tokens, values, replace, config)
 
     def _put(
         self,
         key: StoreKey,
-        pairs: tuple[TokenPair, ...],
+        tokens: tuple[str, ...],
+        values: tuple[float, ...],
         replace: bool,
         config: TokenConfig | None,
     ) -> str:
         key_text = key.text()
         if config is not None:
-            problems = validate_tokens(pairs, key_text, config)
+            problems = validate_tokens(tokens, key_text, config)
             if problems:
                 raise StoreError("; ".join(problems))
         if key_text in self._entries:
             if not replace:
                 raise DuplicateEntryError(f"entry already present: {key_text}")
-            self._entries[key_text] = (key, pairs)
+            self._entries[key_text] = (key, tokens, values)
             return REPLACED
-        self._entries[key_text] = (key, pairs)
+        self._entries[key_text] = (key, tokens, values)
         return ADDED
 
-    def entries(self) -> Iterable[tuple[StoreKey, tuple[TokenPair, ...]]]:
-        """Every entry, in no particular order."""
+    def entries(self) -> Iterable[Entry]:
+        """Every entry as (key, tokens, values), in no particular order."""
         return self._entries.values()
 
     def query(
@@ -208,11 +250,12 @@ class Store:
     ) -> list[tuple[StoreKey, tuple[TokenPair, ...]]]:
         """Entries matching the selection, in canonical key order."""
         selection = selection if selection is not None else Selection()
-        return [
-            self._entries[key_text]
-            for key_text in sorted(self._entries)
-            if selection.matches(self._entries[key_text][0])
-        ]
+        found = []
+        for key_text in sorted(self._entries):
+            key, tokens, values = self._entries[key_text]
+            if selection.matches(key):
+                found.append((key, pairs_of(tokens, values)))
+        return found
 
     def delete(self, target: Selection | Path) -> DeleteResult:
         """Remove matching entries (pattern) or the exact triples named by a
@@ -220,7 +263,7 @@ class Store:
         if isinstance(target, Selection):
             hits = [
                 key_text
-                for key_text, (key, _) in self._entries.items()
+                for key_text, (key, _, _) in self._entries.items()
                 if target.matches(key)
             ]
             for key_text in hits:
@@ -236,9 +279,10 @@ class Store:
         return DeleteResult(deleted, missing)
 
     def _keys_from_file(self, path: Path) -> Iterator[StoreKey]:
-        for lineno, raw in iter_result_lines(_read_text(path, "selection file")):
+        text = read_text(path, "selection file", StoreError)
+        for lineno, raw in iter_result_lines(text):
             try:
-                solver, _, _, collection, problem, _ = parse_fields(raw)
+                solver, _, _, collection, problem, _, _ = parse_fields(raw)
             except RecordError as exc:
                 raise StoreError(f"{path}:{lineno}: {exc}") from exc
             yield StoreKey(solver, collection, problem)
@@ -252,11 +296,12 @@ class Store:
     ) -> ImportReport:
         """Add every result line of a file; bad lines are reported, never fatal."""
         report = ImportReport()
-        for lineno, raw in iter_result_lines(_read_text(path, "result file")):
+        text = read_text(path, "result file", StoreError)
+        for lineno, raw in iter_result_lines(text):
             try:
-                solver, _, _, collection, problem, pairs = parse_fields(raw)
-                key = StoreKey(solver, collection, problem)
-                outcome = self._put(key, pairs, replace, config)
+                solver, _, _, collection, problem, tokens, values = parse_fields(raw)
+                key = _shared_key(solver, collection, problem)
+                outcome = self._put(key, tokens, values, replace, config)
             except DuplicateEntryError as exc:
                 report.duplicates += 1
                 report.details.append(f"{path}:{lineno}: {exc}")
@@ -269,13 +314,6 @@ class Store:
                 else:
                     report.added += 1
         return report
-
-
-def _read_text(path: Path | str, what: str) -> str:
-    try:
-        return Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise StoreError(f"cannot read {what} {path}: {exc}") from exc
 
 
 @contextmanager

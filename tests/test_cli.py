@@ -2,10 +2,14 @@ from __future__ import annotations
 
 import gc
 import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import libopt
 from libopt.cli import main
 from libopt.store import Store
 from libopt.toys import generate_fixture
@@ -245,3 +249,65 @@ def test_install_missing_driver_exits_one(env, capsys):
 def test_install_requires_root(env, monkeypatch):
     monkeypatch.delenv("LIBOPT_DIR")
     assert main(["install"]) == 2
+
+
+# (file holding a byte that is not UTF-8, its other lines, other files, argv)
+NON_UTF8_INPUTS = {
+    "startup file": ("rc", "tokens = n info\n", {}, ["add", "--config", "rc", "r.lbt"]),
+    "specification file": ("perfopt.spc", "solver a b\n", {}, ["profile"]),
+    "command file": ("cmds", "fakea toys\n", {}, ["run", "cmds"]),
+    "list file": (
+        "toys.all.lst",
+        "alpha\n",
+        {"perfopt.spc": "solver fakea fakeb\nperformance nfc\ncollection toys\n"},
+        ["profile"],
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NON_UTF8_INPUTS))
+def test_non_utf8_input_file_exits_two_with_one_line(env, capsys, kind):
+    _, wd = env
+    name, text, others, argv = NON_UTF8_INPUTS[kind]
+    (wd / name).write_bytes(text.encode() + b"# caf\xe9\n")
+    for other, other_text in others.items():
+        (wd / other).write_text(other_text)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: cannot read {kind} ") and name in err
+
+
+@pytest.mark.parametrize(
+    "argv,unused",
+    [
+        (["add", "-r", "r.lbt"], ["libopt.hierarchy", "libopt.profile", "libopt.runner", "subprocess"]),
+        (["profile"], ["libopt.runner", "subprocess"]),
+    ],
+)
+def test_subcommand_imports_only_its_own_stage_modules(env, argv, unused):
+    _, wd = env
+    (wd / "r.lbt").write_text("libopt%a%c%p%nfc=1%info=0\nlibopt%b%c%p%nfc=2%info=0\n")
+    assert main(["add", "r.lbt"]) == 0
+    (wd / "perfopt.spc").write_text("solver a b\nperformance nfc\n")
+    script = (
+        "import sys\n"
+        "from libopt.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(*sorted(sys.modules))\n"
+        "sys.exit(code)\n"
+    )
+    src = str(Path(libopt.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        cwd=wd,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    assert "libopt.store" in loaded
+    assert loaded.isdisjoint(unused)

@@ -323,3 +323,29 @@ def test_driver_exec_format_error_is_status_126(spy_tree):
     outcome = execute(ElementaryRun("spysolv", None, "spycoll", "px"), wd, root)
     assert outcome.status == 126
     assert len(outcome.warnings) == 1
+
+
+def test_driver_stdout_that_is_not_utf8_costs_at_most_its_run(spy_tree):
+    root, wd = spy_tree
+    bad = root / "solvers/badsolv/spycoll/badsolv_spycoll"
+    _write(
+        bad,
+        "#!/bin/sh\n"
+        "printf 'caf\\351\\n'\n"
+        "printf 'libopt%%badsolv%%spycoll%%px%%nfc=1%%info=0 # caf\\351\\n'\n",
+    )
+    os.chmod(bad, 0o755)
+    _write(root / "solvers/badsolv/spycoll/all.lst", "px\n")
+    _write(root / "solvers/badsolv/spycoll/default.lst", "px\n")
+    out, err = io.StringIO(), io.StringIO()
+    summary = run_batch(
+        RunOptions(), wd, root, ["badsolv spycoll", "spysolv spycoll"], out=out, err=err
+    )
+    assert (summary.runs, summary.failures) == (2, 0)
+    assert out.getvalue().splitlines() == [
+        "caf\\xe9",
+        "libopt%badsolv%spycoll%px%nfc=1%info=0 # caf\\xe9",
+        "spy chatter",
+        "libopt%spysolv%spycoll%px%nfc=3%info=0",
+    ]
+    assert err.getvalue() == ""

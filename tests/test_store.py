@@ -5,12 +5,20 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from libopt.record import TokenConfig, parse_line
+from libopt.record import (
+    RecordError,
+    TokenConfig,
+    format_number,
+    iter_result_lines,
+    parse_fields,
+    parse_line,
+)
 from libopt.store import (
     DuplicateEntryError,
     Selection,
     Store,
     StoreError,
+    StoreKey,
     locked,
     parse_selection,
 )
@@ -98,6 +106,138 @@ def test_open_arbitrary_bytes_returns_store_or_raises_store_error(tmp_path, data
         return
     store.save()
     assert Store.open(path).query() == store.query()
+
+
+def reference_open(path: Path):
+    """Store.open as one parse_fields call per line: the query() entries,
+    or the StoreError message."""
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as exc:
+        return f"cannot read store {path}: {exc}"
+    entries = {}
+    for lineno, raw in iter_result_lines(text):
+        try:
+            solver, _, _, collection, problem, tokens, values = parse_fields(
+                f"libopt%{raw}"
+            )
+        except RecordError as exc:
+            return f"{path}:{lineno}: corrupt entry: {exc}"
+        key_text = f"{solver}%{collection}%{problem}"
+        if key_text in entries:
+            return f"{path}:{lineno}: duplicate key {key_text}"
+        pairs = tuple(zip(tokens, map(repr, values)))
+        entries[key_text] = (StoreKey(solver, collection, problem), pairs)
+    return [entries[key_text] for key_text in sorted(entries)]
+
+
+def opened(path: Path):
+    """What Store.open makes of a file, in reference_open's terms."""
+    try:
+        store = Store.open(path)
+    except StoreError as exc:
+        return str(exc)
+    return [
+        (key, tuple((token, repr(value)) for token, value in pairs))
+        for key, pairs in store.query()
+    ]
+
+
+# text near the store format, including blanks, comments and line breaks
+# other than "\n" that a canonical entry never holds
+store_text = st.lists(
+    st.sampled_from(
+        ["a", "b.t", "b.t.2", "%", "c", "p", "info", "n", "=", "0", "-.5", "1e999",
+         " ", "\t", "#", "\n", "\r", "\x85", "\u00a0", "\u2028", "\u0663", "."]
+    )
+).map("".join)
+
+
+canonical_names = st.text(
+    alphabet="abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_",
+    min_size=1,
+    max_size=6,
+)
+canonical_tags = st.text(
+    alphabet="abcdefghijklmnopqrstuvwxyz0123456789_.-=!$", min_size=1, max_size=6
+)
+
+
+@st.composite
+def canonical_entries(draw):
+    solver = draw(canonical_names)
+    tag = draw(st.none() | canonical_tags)
+    key = "%".join(
+        [solver if tag is None else f"{solver}.{tag}", draw(canonical_names),
+         draw(canonical_names)]
+    )
+    tokens = draw(st.lists(canonical_names, min_size=1, max_size=5, unique=True))
+    tokens = [t for t in tokens if t != "info"] or ["n"]
+    tokens.insert(draw(st.integers(0, len(tokens))), "info")
+    numbers = [
+        format_number(draw(st.floats(allow_nan=False, allow_infinity=False)))
+        for _ in tokens
+    ]
+    return key, "%".join(f"{t}={v}" for t, v in zip(tokens, numbers))
+
+
+# canonical entries in any order, repeated keys included, some lines
+# ending in a character the canonical form does not allow
+line_ends = st.sampled_from(
+    ["", "", "", " ", "\t", "#c", "\x0b", "\x0c", "\x1c", "\x85", "\u00a0", "\u2028"]
+)
+canonical_stores = st.lists(st.tuples(canonical_entries(), line_ends), max_size=20).map(
+    lambda lines: "".join(
+        f"{key}%{pairs}{end}\n" for (key, pairs), end in lines
+    ).encode()
+)
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.binary() | store_like | store_text.map(str.encode) | canonical_stores)
+def test_open_matches_per_line_parse_fields_reference(tmp_path, data):
+    path = tmp_path / "dtbopt"
+    path.write_bytes(data)
+    assert opened(path) == reference_open(path)
+
+
+@pytest.mark.parametrize(
+    "text,expected",
+    [
+        ("\n# a comment\na%c%p%info=0%n=1\n \t\n", ["a%c%p"]),
+        (" a % c % p % info = 0 % n = 1 # padded\n", ["a%c%p"]),
+        ("a%c%p%info=0%n=1\r\nb%c%p%info=0%n=2\r\n", ["a%c%p", "b%c%p"]),
+        ("a%c%p%info=0%n=1\rb%c%p%info=0%n=2\n", ["a%c%p", "b%c%p"]),
+        ("a.v1.2%c%p%info=0%n=1\na%c%p%info=0%n=1\n", ["a%c%p", "a.v1.2%c%p"]),
+        ("a%c%p%info=0%n=1\nbad\na%c%p%info=0%n=2\n", ":2: corrupt entry: expected positional fields"),
+        ("a%c%p%info=0%n=1\na%c%p%info=0%n=2\nbad\n", ":2: duplicate key a%c%p"),
+        ("a%c%p%info=0%n=1\nb%c%p%info=0%n=1e999\n", ":2: corrupt entry: non-finite"),
+        ("a%c%p%info=0%n=1%n=2\n", ":1: corrupt entry: duplicate token 'n'"),
+        ("a%c%p%n=1%m=2\n", ":1: corrupt entry: missing mandatory 'info'"),
+        ("a%c%p%info=0\n", ":1: corrupt entry: a result needs at least two"),
+        ("a%c%p%info=0%n=1 \n", ["a%c%p"]),
+        ("a%c%p%info=0%n=1\x85\n", ":1: corrupt entry: unparseable number"),
+    ],
+)
+def test_open_pinned_cases_match_the_reference(tmp_path, text, expected):
+    path = tmp_path / "dtbopt"
+    path.write_bytes(text.encode())
+    got = opened(path)
+    assert got == reference_open(path)
+    if isinstance(expected, list):
+        assert [key.text() for key, _ in got] == expected
+    else:
+        assert got.startswith(f"{path}{expected}")
+
+
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(canonical_entries(), max_size=30, unique_by=lambda entry: entry[0]))
+def test_save_after_open_is_byte_identical_for_canonical_stores(tmp_path, entries):
+    path = tmp_path / "dtbopt"
+    data = "".join(f"{key}%{pairs}\n" for key, pairs in sorted(entries)).encode()
+    path.write_bytes(data)
+    Store.open(path).save()
+    assert path.read_bytes() == data
 
 
 def test_add_duplicate_is_an_error():
