@@ -11,6 +11,7 @@ import argparse
 import gc
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -120,39 +121,30 @@ def cmd_add(args: argparse.Namespace) -> int:
         raise LiboptError("nothing to do: give a result file or -d selection")
     if args.delete is not None and args.resfile is not None:
         raise LiboptError("give either a result file or -d selection, not both")
-
-    if args.delete is not None:
+    deleting = args.delete is not None
+    if deleting:
         target = parse_selection(args.delete)
-        if args.test:
-            store = Store.open(store_path)
+    else:
+        resfile = Path(args.resfile)
+        if not resfile.is_file():
+            raise LiboptError(f"result file not found: {resfile}")
+
+    # test mode only reads the store: no lock, no save
+    with nullcontext() if args.test else locked(store_path):
+        store = Store.open(store_path)
+        if deleting:
             _list_matches(store, target, args.verbose or args.test)
             result = store.delete(target)
-            missing = f" ({result.missing} not present)" if result.missing else ""
-            print(
-                f"test mode: would delete {result.deleted} entries{missing}",
-                file=sys.stderr,
-            )
-            return EXIT_OK
-        with locked(store_path):
-            store = Store.open(store_path)
-            _list_matches(store, target, args.verbose)
-            result = store.delete(target)
-            store.save()
-        missing = f" ({result.missing} not present)" if result.missing else ""
-        print(f"deleted {result.deleted} entries{missing}", file=sys.stderr)
-        return EXIT_OK
-
-    resfile = Path(args.resfile)
-    if not resfile.is_file():
-        raise LiboptError(f"result file not found: {resfile}")
-    if args.test:
-        store = Store.open(store_path)
-        report = store.import_file(resfile, replace=args.replace, config=ctx.config)
-    else:
-        with locked(store_path):
-            store = Store.open(store_path)
+        else:
             report = store.import_file(resfile, replace=args.replace, config=ctx.config)
+        if not args.test:
             store.save()
+
+    if deleting:
+        missing = f" ({result.missing} not present)" if result.missing else ""
+        done = "test mode: would delete" if args.test else "deleted"
+        print(f"{done} {result.deleted} entries{missing}", file=sys.stderr)
+        return EXIT_OK
     for detail in report.details:
         print(detail, file=sys.stderr)
     prefix = "test mode: would have " if args.test else ""
@@ -199,8 +191,9 @@ def cmd_profile(args: argparse.Namespace) -> int:
         warn=_warn,
     )
     candidates = gather_candidate_problems(spec, ctx.working_dir, ctx.root, warn=_warn)
-    store = Store.open(store_path)
-    table = select(spec, store, candidates, warn=_warn)
+    # no name holds the store: its text is freed once select has parsed
+    # the values the table needs
+    table = select(spec, Store.open(store_path), candidates, warn=_warn)
     if not table.problems:
         print("no eligible problems for the requested comparison", file=sys.stderr)
         profiles = []

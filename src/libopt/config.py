@@ -69,6 +69,8 @@ def parse_startup(text: str, source_path: Path | None = None) -> StartupFile:
             words = value.split()
             if len(words) != 1:
                 raise ConfigError(f"{where}: data_base takes a single file name")
+            if "\0" in words[0]:
+                raise ConfigError(f"{where}: data_base file name holds a NUL")
             seen[name] = Path(words[0])
     tokens = seen.get("tokens")
     performance = seen.get("performance_tokens")

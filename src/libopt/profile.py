@@ -140,6 +140,8 @@ def parse_spec(
                 raise SpecError(f"{where}: duplicate directive {directive!r}")
             if len(args) != 1:
                 raise SpecError(f"{where}: {directive} takes exactly one value")
+            if directive == "output" and "\0" in args[0]:
+                raise SpecError(f"{where}: output file name holds a NUL")
             single[directive] = args[0]
         else:
             raise SpecError(f"{where}: unknown directive {directive!r}")
@@ -237,11 +239,10 @@ def select(
     per_solver: dict[str, dict[ProblemId, dict[str, float]]] = {
         s: {} for s in spec.solvers
     }
-    for key, tokens, values in store.entries():
-        if key.solver_with_tag in per_solver:
-            per_solver[key.solver_with_tag][key.collection, key.problem] = dict(
-                zip(tokens, values)
-            )
+    for key, tokens, values in store.entries(spec.solvers):
+        per_solver[key.solver_with_tag][key.collection, key.problem] = dict(
+            zip(tokens, values)
+        )
     if candidates is not None:
         pool = list(candidates)
     else:
@@ -478,6 +479,9 @@ def write_outputs(
     """Write the <base>.gnu and <base>.m plot-data files."""
     gnu_path = Path(str(base) + ".gnu")
     m_path = Path(str(base) + ".m")
-    gnu_path.write_text(emit_gnuplot(profiles, log_scale))
-    m_path.write_text(emit_matlab(profiles, log_scale))
+    try:
+        gnu_path.write_text(emit_gnuplot(profiles, log_scale))
+        m_path.write_text(emit_matlab(profiles, log_scale))
+    except OSError as exc:
+        raise ProfileError(f"cannot write plot data: {exc}") from exc
     return gnu_path, m_path

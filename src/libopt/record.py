@@ -19,7 +19,8 @@ a pattern cannot, in ``split_pairs``: the token sequence goes through
 pair), and every value must be finite. ``_diagnose`` names the first
 bad field of a line that does not match. ``ENTRY_RE`` matches the
 canonical store entry, the same grammar without blanks, comment or
-sentinel. The record types are plain carriers: the parser vouches for
+sentinel, and with each number spelled as ``format_number`` writes it.
+The record types are plain carriers: the parser vouches for
 their contents.
 """
 from __future__ import annotations
@@ -40,6 +41,16 @@ _B = f"[{_BLANKS}]*"
 _NAME = "[A-Za-z0-9_]+"
 _NUMBER = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 _TAG = r"[^%#\s]+"
+# A number as format_number writes it in fixed notation: "-" the only
+# sign, ASCII digits only (float() also reads other Unicode digits), no
+# leading zero, no trailing zero after the point, at most 15 digits
+# (DBL_DIG, so float() keeps them all) and at most three zeros after
+# "0." (below that repr switches to an exponent). Such a text is finite,
+# and format_number(float(text)) gives it back unchanged.
+_CANONICAL_NUMBER = (
+    r"-?(?![0-9.]{17})(?![0-9]{16})"
+    r"(?:0(?:\.(?!0000)[0-9]*[1-9])?|[1-9][0-9]*(?:\.[0-9]*[1-9])?)"
+)
 _PAIR = rf"%{_B}{_NAME}{_B}={_B}{_NUMBER}{_B}"
 
 # solver/collection/problem/token names are "words"
@@ -56,7 +67,8 @@ LINE_RE = re.compile(
 # other line whole in the last group.
 # groups: key text, solver[.tag], collection, problem, all pairs; other line
 ENTRY_RE = re.compile(
-    rf"^(?:(({_NAME}(?:\.{_TAG})?)%({_NAME})%({_NAME}))((?:%{_NAME}={_NUMBER})+)$|(.*))",
+    rf"^(?:(({_NAME}(?:\.{_TAG})?)%({_NAME})%({_NAME}))"
+    rf"((?:%{_NAME}={_CANONICAL_NUMBER})+)$|(.*))",
     re.M,
 )
 
@@ -92,10 +104,7 @@ def split_solver_field(text: str) -> tuple[str, str | None]:
 
 def format_number(value: float) -> str:
     """Shortest decimal text that parses back to exactly the same float."""
-    out = repr(value)
-    if out.endswith(".0"):
-        out = out[:-2]
-    return out
+    return repr(value).removesuffix(".0")
 
 
 class TokenPair(NamedTuple):
@@ -145,10 +154,31 @@ def split_pairs(text: str) -> tuple[tuple[str, ...], tuple[float, ...]]:
         items = [item.strip(_BLANKS) for item in items]
     tokens = token_layout(tuple(items[1::2]))
     values = tuple(map(float, items[2::2]))
+    check_finite(tokens, values)
+    return tokens, values
+
+
+def check_finite(tokens: tuple[str, ...], values: tuple[float, ...]) -> None:
     if not all(map(math.isfinite, values)):
         bad = next(t for t, v in zip(tokens, values) if not math.isfinite(v))
         raise RecordError(f"non-finite value for token {bad!r}")
-    return tokens, values
+
+
+def format_pairs(tokens: tuple[str, ...], values: tuple[float, ...]) -> str:
+    """The canonical pairs text ``%token=number...``; raises RecordError
+    for a non-finite value, which no line could carry back."""
+    check_finite(tokens, values)
+    return "".join([f"%{t}={format_number(v)}" for t, v in zip(tokens, values)])
+
+
+def text_layout(pairs: str) -> tuple[str, ...]:
+    """The shared token layout of canonical pairs text (see token_layout)."""
+    return token_layout(tuple(pairs.replace("=", "%").split("%")[1::2]))
+
+
+def text_values(pairs: str) -> tuple[float, ...]:
+    """The values of canonical pairs text, in token order."""
+    return tuple(map(float, pairs.replace("=", "%").split("%")[2::2]))
 
 
 @dataclass(frozen=True)

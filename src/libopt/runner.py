@@ -226,8 +226,9 @@ def run_batch(
     out: TextIO | None = None,
     err: TextIO | None = None,
 ) -> BatchSummary:
-    """Process command lines in order; one run at a time, batch never aborts
-    on a bad command line."""
+    """Process command lines in order; one run at a time. A bad command
+    line or list file skips its command; only a RunnerError (such as a
+    solver without its all.lst) stops the batch."""
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
     check_working_dir(working_dir, root)
@@ -243,11 +244,15 @@ def run_batch(
         summary.commands += 1
         try:
             directive = parse_command(text, warn=warn)
+            resolved = resolve_problems(directive, working_dir, root, warn=warn)
+        except RunnerError:
+            raise
         except LiboptError as exc:
+            # a bad command line, or a list file that cannot be read or
+            # holds a bad name
             print(f"skipping command {text!r}: {exc}", file=err)
             summary.skips += 1
             continue
-        resolved = resolve_problems(directive, working_dir, root, warn=warn)
         if resolved is None:
             print(f"command {text!r} ignored: no list file found", file=err)
             summary.skips += 1

@@ -6,14 +6,22 @@ per line (the result line minus the sentinel field), sorted by key, so
 it diffs cleanly and ports anywhere. Writes go through a temp file plus
 rename, and an advisory lock file serializes concurrent writers.
 
-In memory an entry is ``(StoreKey, tokens, values)``: ``tokens`` is the
-one shared tuple of its token layout (``record.token_layout``), so a
-store holds one copy per distinct layout, ``values`` a tuple of floats
-in the same order, and the key's names are interned. ``Store.open``
-reads the whole file with ``record.ENTRY_RE``, which takes each line in
-the canonical form ``save`` writes; every other line (blank, comment,
-padded, corrupt) goes through ``parse_fields`` as a result line would,
-so a corrupt store fails on the same line with the same message.
+In memory an entry is text-backed: ``(StoreKey, tokens, pairs)``, where
+``tokens`` is the one shared tuple of its token layout
+(``record.token_layout``), so a store holds one copy per distinct
+layout, ``pairs`` is the canonical ``%token=number...`` text that
+``save`` writes after the key, and the key's names are interned. Values
+are parsed only when read: ``entries(solvers)`` for the solvers asked
+for, and ``query()``. ``save`` is a sorted join of key and pairs texts.
+
+``Store.open`` reads the whole file with ``record.ENTRY_RE``, which takes
+each line in the canonical form ``save`` writes, numbers included, and
+keeps its pairs text as matched. Every other line (blank, comment,
+padded, a number such as ``1.50`` or ``1e3`` in another spelling,
+corrupt) goes through ``parse_fields`` as a result line would, so a
+corrupt store fails on the same line with the same message; its values
+are formatted once, so it saves in canonical form. A record inserted by
+``add`` or ``import_file`` is formatted once, on insert.
 """
 from __future__ import annotations
 
@@ -25,7 +33,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Collection, Iterator, NamedTuple
 
 from .errors import LiboptError, read_text
 from .record import (
@@ -36,13 +44,14 @@ from .record import (
     TokenConfig,
     TokenPair,
     check_name,
-    format_number,
+    format_pairs,
     is_blank,
     iter_result_lines,
     pairs_of,
     parse_fields,
-    split_pairs,
     split_solver_field,
+    text_layout,
+    text_values,
     token_layout,
     validate_tokens,
 )
@@ -82,8 +91,9 @@ def _shared_key(solver_with_tag: str, collection: str, problem: str) -> StoreKey
     return _new_key((intern(solver_with_tag), intern(collection), intern(problem)))
 
 
-# (key, token layout, values), the layout shared by every entry using it
-Entry = tuple[StoreKey, tuple[str, ...], tuple[float, ...]]
+# (key, token layout, canonical pairs text), the layout shared by every
+# entry using it
+Entry = tuple[StoreKey, tuple[str, ...], str]
 
 
 @dataclass(frozen=True)
@@ -165,7 +175,7 @@ class Store:
             key_text, solver, collection, problem, pairs, line = match.groups()
             try:
                 if pairs is not None:
-                    tokens, values = split_pairs(pairs)
+                    tokens = text_layout(pairs)
                 elif is_blank(line):
                     continue
                 else:
@@ -173,9 +183,10 @@ class Store:
                         f"{SENTINEL}%{line}"
                     )
                     key_text = f"{solver}%{collection}%{problem}"
+                    pairs = format_pairs(tokens, values)
             except RecordError as exc:
                 raise StoreError(f"{path}:{lineno}: corrupt entry: {exc}") from exc
-            entry = (_shared_key(solver, collection, problem), tokens, values)
+            entry = (_shared_key(solver, collection, problem), tokens, pairs)
             if entries.setdefault(key_text, entry) is not entry:
                 raise StoreError(f"{path}:{lineno}: duplicate key {key_text}")
         return store
@@ -184,21 +195,15 @@ class Store:
         """Atomically rewrite the backing file, entries sorted by key."""
         if self.path is None:
             raise StoreError("store has no backing path")
-        lines = []
-        for key_text in sorted(self._entries):
-            _, tokens, values = self._entries[key_text]
-            body = "%".join(
-                [key_text]
-                + [f"{t}={format_number(v)}" for t, v in zip(tokens, values)]
-            )
-            lines.append(body + "\n")
+        entries = self._entries
+        text = "".join([f"{k}{entries[k][2]}\n" for k in sorted(entries)])
         self.path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp_name = tempfile.mkstemp(
             dir=self.path.parent, prefix=self.path.name, suffix=".tmp"
         )
         try:
             with os.fdopen(fd, "w") as handle:
-                handle.writelines(lines)
+                handle.write(text)
             os.replace(tmp_name, self.path)
         except BaseException:
             try:
@@ -214,7 +219,9 @@ class Store:
         replace: bool = False,
         config: TokenConfig | None = None,
     ) -> str:
-        """Insert one record; a present key is only overwritten with replace."""
+        """Insert one record; a present key is only overwritten with replace.
+        A value that is not finite raises StoreError: no store line could
+        carry it back."""
         key = StoreKey(record.solver_with_tag, record.collection, record.problem)
         tokens = token_layout(tuple(pair.token for pair in record.pairs))
         values = tuple(pair.value for pair in record.pairs)
@@ -233,17 +240,27 @@ class Store:
             problems = validate_tokens(tokens, key_text, config)
             if problems:
                 raise StoreError("; ".join(problems))
+        outcome = ADDED
         if key_text in self._entries:
             if not replace:
                 raise DuplicateEntryError(f"entry already present: {key_text}")
-            self._entries[key_text] = (key, tokens, values)
-            return REPLACED
-        self._entries[key_text] = (key, tokens, values)
-        return ADDED
+            outcome = REPLACED
+        try:
+            pairs = format_pairs(tokens, values)
+        except RecordError as exc:
+            raise StoreError(f"{exc} in {key_text}") from exc
+        self._entries[key_text] = (key, tokens, pairs)
+        return outcome
 
-    def entries(self) -> Iterable[Entry]:
-        """Every entry as (key, tokens, values), in no particular order."""
-        return self._entries.values()
+    def entries(
+        self, solvers: Collection[str]
+    ) -> Iterator[tuple[StoreKey, tuple[str, ...], tuple[float, ...]]]:
+        """(key, tokens, values) of every entry of the named solvers (with
+        tag), in no particular order; only their values are parsed."""
+        wanted = frozenset(solvers)
+        for key, tokens, pairs in self._entries.values():
+            if key.solver_with_tag in wanted:
+                yield key, tokens, text_values(pairs)
 
     def query(
         self, selection: Selection | None = None
@@ -252,9 +269,9 @@ class Store:
         selection = selection if selection is not None else Selection()
         found = []
         for key_text in sorted(self._entries):
-            key, tokens, values = self._entries[key_text]
+            key, tokens, pairs = self._entries[key_text]
             if selection.matches(key):
-                found.append((key, pairs_of(tokens, values)))
+                found.append((key, pairs_of(tokens, text_values(pairs))))
         return found
 
     def delete(self, target: Selection | Path) -> DeleteResult:

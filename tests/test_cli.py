@@ -76,6 +76,31 @@ def test_run_skip_exits_one(env, monkeypatch, capsys):
     assert "ignored" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", [b"alpha b-d\n", b"alpha \xff\n"])
+def test_run_skips_a_command_whose_list_file_is_bad(env, monkeypatch, capsys, content):
+    _, wd = env
+    (wd / "toys.bad.lst").write_bytes(content)
+    monkeypatch.setattr("sys.stdin", io.StringIO("fakea toys.bad\nfakea toys\n"))
+    assert main(["run"]) == 1
+    out, err = capsys.readouterr()
+    assert "libopt%fakea%toys%" in out
+    skipped = [line for line in err.splitlines() if line.startswith("skipping")]
+    assert len(skipped) == 1
+    assert skipped[0].startswith("skipping command 'fakea toys.bad': ")
+    assert "toys.bad.lst" in skipped[0]
+    assert "commands: 2," in err and "skips: 1," in err
+
+
+def test_run_stops_at_a_solver_without_all_list(env, monkeypatch, capsys):
+    spec, _ = env
+    (spec.root / "solvers/fakea/toys/all.lst").unlink()
+    monkeypatch.setattr("sys.stdin", io.StringIO("fakea toys\nfakeb toys\n"))
+    assert main(["run"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: hierarchy inconsistency: missing ")
+
+
 def test_run_missing_command_file(env, capsys):
     assert main(["run", "absent.cmds"]) == 2
 
@@ -174,6 +199,32 @@ def test_main_restores_the_garbage_collector_state(env, enabled):
         assert gc.isenabled() is enabled
     finally:
         gc.enable() if was else gc.disable()
+
+
+def test_startup_data_base_with_a_nul_exits_two(env, capsys):
+    _, wd = env
+    (wd / "rc").write_text("data_base = a\0b\n")
+    (wd / "r.lbt").write_text("libopt%a%c%p%info=0%n=1\n")
+    assert main(["add", "--config", "rc", "r.lbt"]) == 2
+    assert capsys.readouterr().err == "error: rc:1: data_base file name holds a NUL\n"
+
+
+@pytest.mark.parametrize(
+    "output,message",
+    [
+        ("x\0y", "perfopt.spc:3: output file name holds a NUL"),
+        ("nodir/x", "cannot write plot data: "),
+    ],
+)
+def test_profile_output_that_cannot_be_written_exits_two(env, capsys, output, message):
+    _, wd = env
+    (wd / "r.lbt").write_text("libopt%a%c%p%nfc=1%info=0\nlibopt%b%c%p%nfc=2%info=0\n")
+    assert main(["add", "r.lbt"]) == 0
+    (wd / "perfopt.spc").write_text(f"solver a b\nperformance nfc\noutput {output}\n")
+    capsys.readouterr()
+    assert main(["profile"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: {message}")
 
 
 def test_add_requires_a_source(env):

@@ -3,7 +3,9 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from libopt.errors import LiboptError
 from libopt.config import (
     ConfigError,
     StartupFile,
@@ -56,6 +58,29 @@ def test_performance_tokens_must_be_among_tokens():
 def test_parse_rejects(text):
     with pytest.raises(ConfigError):
         parse_startup(text)
+
+
+startup_text = st.lists(
+    st.sampled_from(
+        ["tokens", "performance_tokens", "data_base", "=", " ", "\t", "\n", "\r",
+         "\x85", "#", "n", "info", "nfc", "a-b", "db/x", "\x00", "\xa0", "\u0663"]
+    )
+).map("".join)
+
+
+@settings(max_examples=300)
+@given(st.text() | startup_text)
+def test_parse_startup_returns_settings_or_raises_a_libopt_error(text):
+    try:
+        startup = parse_startup(text)
+    except LiboptError:
+        return
+    assert startup.data_base is None or "\0" not in str(startup.data_base)
+
+
+def test_parse_rejects_a_data_base_name_holding_a_nul():
+    with pytest.raises(ConfigError, match="<startup>:2: data_base file name holds a NUL"):
+        parse_startup("tokens = n info\ndata_base = a\0b\n")
 
 
 def test_serialize_round_trips_the_directives():

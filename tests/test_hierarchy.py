@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import os
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from libopt.errors import LiboptError
 from libopt.hierarchy import (
@@ -34,6 +36,25 @@ def test_parse_list_deduplicates_with_warning():
     plist = parse_list("a b a c b", warn=warnings.append)
     assert plist.names == ("a", "b", "c")
     assert len(warnings) == 2
+
+
+list_text = st.lists(
+    st.sampled_from(
+        ["a", "b1", "_", " ", "\t", "\n", "\r", "\x85", "\u2028", "#", "-", ".", "\x00",
+         "\xa0", "\u0663", "é"]
+    )
+).map("".join)
+
+
+@settings(max_examples=300)
+@given(st.text() | list_text)
+def test_parse_list_returns_names_or_raises_a_libopt_error(text):
+    try:
+        plist = parse_list(text, warn=lambda message: None)
+    except LiboptError:
+        return
+    assert len(set(plist.names)) == len(plist.names)
+    assert all(re.fullmatch("[A-Za-z0-9_]+", name) for name in plist.names)
 
 
 def _tree(root: Path, files: dict[str, str], links: dict[str, str] | None = None):

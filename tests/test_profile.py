@@ -5,7 +5,9 @@ import random
 from bisect import bisect_right
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from libopt.errors import LiboptError
 from libopt.profile import (
     ProblemFilter,
     ProfileError,
@@ -119,6 +121,35 @@ def test_parse_spec_accumulates_and_filters():
 def test_parse_spec_rejects(text):
     with pytest.raises(SpecError):
         parse_spec(text)
+
+
+# text near the specification grammar: directives, names, relations,
+# numbers, blanks, comments, line breaks and stray characters
+spec_text = st.lists(
+    st.sampled_from(
+        ["solver", "collection", "problem", "performance", "rho_max", "output", " ",
+         "\t", "\n", "\r", "\x85", "\u2028", "#", "a", "b.t", "c.d", "n", "<=", "!=",
+         "~", "1", "2.5", "-0", "1_0", "nan", "inf", "1e999", "\x00", "\xa0", "\u0663"]
+    )
+).map("".join)
+
+
+@settings(max_examples=300)
+@given(st.text() | spec_text)
+def test_parse_spec_returns_a_spec_or_raises_a_libopt_error(text):
+    try:
+        spec = parse_spec(text, warn=lambda message: None)
+    except LiboptError:
+        return
+    assert len(spec.solvers) >= 2
+    assert spec.rho_bar_override is None or 1 < spec.rho_bar_override < math.inf
+    assert all(math.isfinite(f.threshold) for f in spec.problem_filters)
+    assert "\0" not in spec.output_base
+
+
+def test_parse_spec_rejects_an_output_name_holding_a_nul():
+    with pytest.raises(SpecError, match="perfopt.spc:3: output file name holds a NUL"):
+        parse_spec("solver a b\nperformance t\noutput a\0b\n")
 
 
 def test_parse_spec_duplicate_solver_warns_and_dedupes():

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from libopt.record import (
+    ENTRY_RE,
+    LiboptRecord,
     RecordError,
     TokenConfig,
+    TokenPair,
     format_number,
     iter_result_lines,
     parse_fields,
@@ -238,6 +242,165 @@ def test_save_after_open_is_byte_identical_for_canonical_stores(tmp_path, entrie
     path.write_bytes(data)
     Store.open(path).save()
     assert path.read_bytes() == data
+
+
+def fast_path_takes(number: str) -> bool:
+    """Whether Store.open keeps a line holding ``number`` as it is."""
+    return ENTRY_RE.match(f"a%c%p%info=0%n={number}")[5] is not None
+
+
+@pytest.mark.parametrize(
+    "number,taken",
+    [
+        ("999999999999999", True),  # 15 digits
+        ("9999999999999999", False),  # 16 digits: 1e+16
+        ("99999999999999.9", True),
+        ("0.0001", True),
+        ("0.00001", False),  # 1e-05
+        ("0.000123456789012", False),  # 16 digits, though 12 significant
+        ("-0", True),
+        ("0", True),
+        ("-12.5", True),
+        ("0.0", False),
+        ("1.0", False),
+        ("00", False),
+        ("+1", False),
+        ("1.50", False),
+        ("1e3", False),
+        (".5", False),
+        ("5.", False),
+        ("-", False),
+        ("1\u0660", False),  # an Arabic-Indic zero: float() reads it, repr writes "0"
+    ],
+)
+def test_canonical_number_boundaries(number, taken):
+    assert fast_path_takes(number) is taken
+    if taken:
+        assert format_number(float(number)) == number
+
+
+@given(
+    st.from_regex(r"-?\d{1,18}(\.\d{1,18})?", fullmatch=True)
+    | st.floats(allow_nan=False, allow_infinity=False).map(format_number)
+    | st.integers(-(10**16), 10**16).map(str)
+)
+def test_canonical_number_reads_back_unchanged(number):
+    if fast_path_takes(number):
+        assert format_number(float(number)) == number
+
+
+@given(st.integers(-(10**15) + 1, 10**15 - 1) | st.decimals(-1e6, 1e6, places=6))
+def test_short_fixed_numbers_take_the_fast_path(value):
+    number = format_number(float(value))
+    if "e" not in number and len(number.lstrip("-").replace(".", "")) <= 15:
+        assert fast_path_takes(number)
+
+
+def test_open_then_save_writes_non_canonical_numbers_canonically(tmp_path):
+    path = tmp_path / "dtbopt"
+    spellings = {
+        "1.50": "1.5",
+        "1E3": "1000",
+        "+5": "5",
+        ".5": "0.5",
+        "5.": "5",
+        "007": "7",
+        "0.10000000000000001": "0.1",
+        "1e-05": "1e-05",
+        "-0.0": "-0",
+        "1\u0660": "10",
+    }
+    path.write_text(
+        "".join(f"a%c%p{i}%info=0%n={text}\n" for i, text in enumerate(spellings))
+    )
+    store = Store.open(path)
+    store.save()
+    assert path.read_text() == "".join(
+        f"a%c%p{i}%info=0%n={text}\n" for i, text in enumerate(spellings.values())
+    )
+    assert [pairs[1].value for _, pairs in store.query()] == [
+        float(text) for text in spellings
+    ]
+
+
+def reference_save(path: Path) -> str:
+    """The text save() writes after open(), from reference_open's values."""
+    return "".join(
+        "%".join([key.text()] + [f"{t}={format_number(float(v))}" for t, v in pairs])
+        + "\n"
+        for key, pairs in reference_open(path)
+    )
+
+
+ARABIC_INDIC_DIGITS = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+
+
+# store numbers in other spellings than the canonical one
+@st.composite
+def spelled_numbers(draw):
+    value = draw(st.floats(allow_nan=False, allow_infinity=False))
+    text = format_number(value)
+    return draw(
+        st.sampled_from(
+            [text, repr(value), f"{value:.6e}", f"{value:E}", f"{value:.17g}",
+             text.translate(ARABIC_INDIC_DIGITS)]
+            + ([f"+{text}", f"00{text}"] if value >= 0 else [])
+        )
+    )
+
+
+@st.composite
+def spelled_stores(draw):
+    lines = []
+    for key, pairs in draw(st.lists(canonical_entries(), max_size=10)):
+        items = [item.partition("=")[0] for item in pairs.split("%")]
+        lines.append("%".join([key] + [f"{t}={draw(spelled_numbers())}" for t in items]))
+    return "".join(line + "\n" for line in lines).encode()
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(spelled_stores() | canonical_stores | store_like | store_text.map(str.encode))
+def test_save_after_open_matches_the_reference_text(tmp_path, data):
+    path = tmp_path / "dtbopt"
+    path.write_bytes(data)
+    expected = reference_open(path)
+    try:
+        store = Store.open(path)
+    except StoreError as exc:
+        assert str(exc) == expected
+        return
+    text = reference_save(path)
+    store.save()
+    assert path.read_text() == text
+
+
+def test_entries_parses_only_the_solvers_asked_for():
+    store = Store()
+    for line in [
+        "libopt%a%c%p1%info=0%n=1.5",
+        "libopt%a.v2%c%p1%info=0%n=2",
+        "libopt%b%c%p1%info=1%n=3",
+        "libopt%a%d%p2%n=1e-05%info=0",
+    ]:
+        store.add(rec(line))
+    got = sorted(
+        (key, tuple(zip(tokens, values))) for key, tokens, values in store.entries({"a"})
+    )
+    want = [(key, tuple(pairs)) for key, pairs in store.query(Selection(solver="a"))]
+    assert got == want
+    assert [key.text() for key, _ in got] == ["a%c%p1", "a%d%p2"]
+    assert list(store.entries({"x"})) == []
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_add_rejects_a_non_finite_value(tmp_path, value):
+    record = LiboptRecord("a", "c", "p", (TokenPair("info", 0.0), TokenPair("n", value)))
+    store = Store(tmp_path / "dtbopt")
+    with pytest.raises(StoreError, match="non-finite value for token 'n' in a%c%p"):
+        store.add(record)
+    assert len(store) == 0
+    store.save()
+    assert len(Store.open(tmp_path / "dtbopt")) == 0
 
 
 def test_add_duplicate_is_an_error():
