@@ -88,17 +88,6 @@ def parse_startup(text: str, source_path: Path | None = None) -> StartupFile:
     )
 
 
-def serialize_startup(startup: StartupFile) -> str:
-    lines = []
-    if startup.tokens is not None:
-        lines.append("tokens = " + " ".join(startup.tokens))
-    if startup.performance_tokens is not None:
-        lines.append("performance_tokens = " + " ".join(startup.performance_tokens))
-    if startup.data_base is not None:
-        lines.append(f"data_base = {startup.data_base}")
-    return "".join(line + "\n" for line in lines)
-
-
 def locate_startup(
     explicit: Path | str | None = None, env: dict[str, str] | None = None
 ) -> tuple[Path, bool]:

@@ -40,9 +40,6 @@ class ProblemList:
     names: tuple[str, ...]
     source: Path | None = None
 
-    def __len__(self) -> int:
-        return len(self.names)
-
 
 def parse_list(
     text: str, source: Path | None = None, warn: WarnFn | None = None
@@ -139,26 +136,6 @@ def generate_indexes(root: Path) -> list[Path]:
 
 
 @dataclass(frozen=True)
-class Hierarchy:
-    root: Path
-    collections: frozenset[str]
-    solvers: frozenset[str]
-    per_solver_collections: dict[str, frozenset[str]]
-
-
-def scan(root: Path) -> Hierarchy:
-    root = Path(root)
-    collections = frozenset(_subdir_names(root / COLLECTIONS_DIR))
-    solvers_dir = root / SOLVERS_DIR
-    solvers = frozenset(_subdir_names(solvers_dir))
-    per_solver = {
-        solver: frozenset(solver_interface_dirs(solvers_dir / solver))
-        for solver in sorted(solvers)
-    }
-    return Hierarchy(root, collections, solvers, per_solver)
-
-
-@dataclass(frozen=True)
 class Finding:
     severity: str  # "warning" or "error"
     message: str
@@ -177,9 +154,6 @@ class Report:
     @property
     def errors(self) -> list[Finding]:
         return [f for f in self.findings if f.severity == "error"]
-
-    def __bool__(self) -> bool:
-        return bool(self.findings)
 
 
 def _checked_list(path: Path, report: Report, rel: Path) -> ProblemList | None:

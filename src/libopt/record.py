@@ -63,11 +63,12 @@ LINE_RE = re.compile(
     rf"%{_B}({_NAME}){_B}((?:{_PAIR})*)(?:#[^\n\r]*)?\Z"
 )
 # Over a whole store text (re.M), one match per "\n"-separated line: the
-# canonical entry ``key%token=number...`` as Store.save writes it, or any
-# other line whole in the last group.
-# groups: key text, solver[.tag], collection, problem, all pairs; other line
+# canonical entry ``solver[.tag]%collection%problem%token=number...`` as
+# Store.save writes it, split into the key text and the pairs text, or
+# any other line whole in the last group.
+# groups: key text, all pairs; other line
 ENTRY_RE = re.compile(
-    rf"^(?:(({_NAME}(?:\.{_TAG})?)%({_NAME})%({_NAME}))"
+    rf"^(?:({_NAME}(?:\.{_TAG})?%{_NAME}%{_NAME})"
     rf"((?:%{_NAME}={_CANONICAL_NUMBER})+)$|(.*))",
     re.M,
 )
@@ -176,9 +177,11 @@ def text_layout(pairs: str) -> tuple[str, ...]:
     return token_layout(tuple(pairs.replace("=", "%").split("%")[1::2]))
 
 
-def text_values(pairs: str) -> tuple[float, ...]:
-    """The values of canonical pairs text, in token order."""
-    return tuple(map(float, pairs.replace("=", "%").split("%")[2::2]))
+def text_pairs(pairs: str) -> tuple[tuple[str, ...], tuple[float, ...]]:
+    """The (shared token layout, values) of canonical pairs text, from one
+    split."""
+    items = pairs.replace("=", "%").split("%")
+    return token_layout(tuple(items[1::2])), tuple(map(float, items[2::2]))
 
 
 @dataclass(frozen=True)

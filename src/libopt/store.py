@@ -6,13 +6,12 @@ per line (the result line minus the sentinel field), sorted by key, so
 it diffs cleanly and ports anywhere. Writes go through a temp file plus
 rename, and an advisory lock file serializes concurrent writers.
 
-In memory an entry is text-backed: ``(StoreKey, tokens, pairs)``, where
-``tokens`` is the one shared tuple of its token layout
-(``record.token_layout``), so a store holds one copy per distinct
-layout, ``pairs`` is the canonical ``%token=number...`` text that
-``save`` writes after the key, and the key's names are interned. Values
-are parsed only when read: ``entries(solvers)`` for the solvers asked
-for, and ``query()``. ``save`` is a sorted join of key and pairs texts.
+In memory the store is a map from each key text to its canonical pairs
+text ``%token=number...``: the two halves of the line ``save`` writes,
+so ``save`` is a sorted join. Keys and values are parsed only when
+read: ``entries(solvers)`` for the solvers asked for, and ``query()``.
+Each read entry's token layout is the one shared tuple of its layout
+(``record.token_layout``), so readers hold one copy per distinct layout.
 
 ``Store.open`` reads the whole file with ``record.ENTRY_RE``, which takes
 each line in the canonical form ``save`` writes, numbers included, and
@@ -27,11 +26,9 @@ from __future__ import annotations
 
 import fcntl
 import os
-import sys
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 from typing import Collection, Iterator, NamedTuple
 
@@ -51,7 +48,7 @@ from .record import (
     parse_fields,
     split_solver_field,
     text_layout,
-    text_values,
+    text_pairs,
     token_layout,
     validate_tokens,
 )
@@ -81,19 +78,15 @@ class StoreKey(NamedTuple):
         return f"{self.solver_with_tag}%{self.collection}%{self.problem}"
 
 
-# StoreKey from a tuple, without the Python-level __new__
-_new_key = partial(tuple.__new__, StoreKey)
+def _key(key_text: str) -> StoreKey:
+    """The key of a stored key text: no name holds a '%'."""
+    return StoreKey._make(key_text.split("%"))
 
 
-def _shared_key(solver_with_tag: str, collection: str, problem: str) -> StoreKey:
-    """A key whose names are interned: one string per distinct name."""
-    intern = sys.intern
-    return _new_key((intern(solver_with_tag), intern(collection), intern(problem)))
-
-
-# (key, token layout, canonical pairs text), the layout shared by every
-# entry using it
-Entry = tuple[StoreKey, tuple[str, ...], str]
+def _parse_entry(line: str) -> tuple[str, tuple[str, ...], tuple[float, ...]]:
+    """(key text, tokens, values) of a result line; raises RecordError."""
+    solver, _, _, collection, problem, tokens, values = parse_fields(line)
+    return f"{solver}%{collection}%{problem}", tokens, values
 
 
 @dataclass(frozen=True)
@@ -155,13 +148,11 @@ class Store:
 
     def __init__(self, path: Path | None = None):
         self.path = Path(path) if path is not None else None
-        self._entries: dict[str, Entry] = {}
+        # key text -> canonical pairs text
+        self._entries: dict[str, str] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def __contains__(self, key: StoreKey) -> bool:
-        return key.text() in self._entries
 
     @classmethod
     def open(cls, path: Path | str) -> Store:
@@ -172,23 +163,20 @@ class Store:
         entries = store._entries
         text = read_text(path, "store", StoreError)
         for lineno, match in enumerate(ENTRY_RE.finditer(text), 1):
-            key_text, solver, collection, problem, pairs, line = match.groups()
+            key_text, pairs, line = match.groups()
             try:
                 if pairs is not None:
-                    tokens = text_layout(pairs)
+                    text_layout(pairs)
                 elif is_blank(line):
                     continue
                 else:
-                    solver, _, _, collection, problem, tokens, values = parse_fields(
-                        f"{SENTINEL}%{line}"
-                    )
-                    key_text = f"{solver}%{collection}%{problem}"
+                    key_text, tokens, values = _parse_entry(f"{SENTINEL}%{line}")
                     pairs = format_pairs(tokens, values)
             except RecordError as exc:
                 raise StoreError(f"{path}:{lineno}: corrupt entry: {exc}") from exc
-            entry = (_shared_key(solver, collection, problem), tokens, pairs)
-            if entries.setdefault(key_text, entry) is not entry:
+            if key_text in entries:
                 raise StoreError(f"{path}:{lineno}: duplicate key {key_text}")
+            entries[key_text] = pairs
         return store
 
     def save(self) -> None:
@@ -196,7 +184,7 @@ class Store:
         if self.path is None:
             raise StoreError("store has no backing path")
         entries = self._entries
-        text = "".join([f"{k}{entries[k][2]}\n" for k in sorted(entries)])
+        text = "".join([f"{k}{entries[k]}\n" for k in sorted(entries)])
         self.path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp_name = tempfile.mkstemp(
             dir=self.path.parent, prefix=self.path.name, suffix=".tmp"
@@ -222,20 +210,18 @@ class Store:
         """Insert one record; a present key is only overwritten with replace.
         A value that is not finite raises StoreError: no store line could
         carry it back."""
-        key = StoreKey(record.solver_with_tag, record.collection, record.problem)
         tokens = token_layout(tuple(pair.token for pair in record.pairs))
         values = tuple(pair.value for pair in record.pairs)
-        return self._put(key, tokens, values, replace, config)
+        return self._put(record.key_text(), tokens, values, replace, config)
 
     def _put(
         self,
-        key: StoreKey,
+        key_text: str,
         tokens: tuple[str, ...],
         values: tuple[float, ...],
         replace: bool,
         config: TokenConfig | None,
     ) -> str:
-        key_text = key.text()
         if config is not None:
             problems = validate_tokens(tokens, key_text, config)
             if problems:
@@ -249,7 +235,7 @@ class Store:
             pairs = format_pairs(tokens, values)
         except RecordError as exc:
             raise StoreError(f"{exc} in {key_text}") from exc
-        self._entries[key_text] = (key, tokens, pairs)
+        self._entries[key_text] = pairs
         return outcome
 
     def entries(
@@ -258,9 +244,10 @@ class Store:
         """(key, tokens, values) of every entry of the named solvers (with
         tag), in no particular order; only their values are parsed."""
         wanted = frozenset(solvers)
-        for key, tokens, pairs in self._entries.values():
+        for key_text, pairs in self._entries.items():
+            key = _key(key_text)
             if key.solver_with_tag in wanted:
-                yield key, tokens, text_values(pairs)
+                yield key, *text_pairs(pairs)
 
     def query(
         self, selection: Selection | None = None
@@ -269,40 +256,35 @@ class Store:
         selection = selection if selection is not None else Selection()
         found = []
         for key_text in sorted(self._entries):
-            key, tokens, pairs = self._entries[key_text]
+            key = _key(key_text)
             if selection.matches(key):
-                found.append((key, pairs_of(tokens, text_values(pairs))))
+                found.append((key, pairs_of(*text_pairs(self._entries[key_text]))))
         return found
 
     def delete(self, target: Selection | Path) -> DeleteResult:
         """Remove matching entries (pattern) or the exact triples named by a
         file of result lines."""
         if isinstance(target, Selection):
-            hits = [
-                key_text
-                for key_text, (key, _, _) in self._entries.items()
-                if target.matches(key)
-            ]
+            hits = [k for k in self._entries if target.matches(_key(k))]
             for key_text in hits:
                 del self._entries[key_text]
             return DeleteResult(len(hits))
         deleted = missing = 0
-        for key in self._keys_from_file(target):
-            if key.text() in self._entries:
-                del self._entries[key.text()]
+        for key_text in self._key_texts_from_file(target):
+            if self._entries.pop(key_text, None) is not None:
                 deleted += 1
             else:
                 missing += 1
         return DeleteResult(deleted, missing)
 
-    def _keys_from_file(self, path: Path) -> Iterator[StoreKey]:
+    def _key_texts_from_file(self, path: Path) -> Iterator[str]:
         text = read_text(path, "selection file", StoreError)
         for lineno, raw in iter_result_lines(text):
             try:
-                solver, _, _, collection, problem, _, _ = parse_fields(raw)
+                key_text = _parse_entry(raw)[0]
             except RecordError as exc:
                 raise StoreError(f"{path}:{lineno}: {exc}") from exc
-            yield StoreKey(solver, collection, problem)
+            yield key_text
 
     def import_file(
         self,
@@ -316,9 +298,7 @@ class Store:
         text = read_text(path, "result file", StoreError)
         for lineno, raw in iter_result_lines(text):
             try:
-                solver, _, _, collection, problem, tokens, values = parse_fields(raw)
-                key = _shared_key(solver, collection, problem)
-                outcome = self._put(key, tokens, values, replace, config)
+                outcome = self._put(*_parse_entry(raw), replace, config)
             except DuplicateEntryError as exc:
                 report.duplicates += 1
                 report.details.append(f"{path}:{lineno}: {exc}")

@@ -13,7 +13,6 @@ from libopt.config import (
     locate_startup,
     parse_startup,
     resolve_store_path,
-    serialize_startup,
     token_config,
 )
 
@@ -81,19 +80,6 @@ def test_parse_startup_returns_settings_or_raises_a_libopt_error(text):
 def test_parse_rejects_a_data_base_name_holding_a_nul():
     with pytest.raises(ConfigError, match="<startup>:2: data_base file name holds a NUL"):
         parse_startup("tokens = n info\ndata_base = a\0b\n")
-
-
-def test_serialize_round_trips_the_directives():
-    startup = StartupFile(
-        tokens=("n", "nfc", "info"),
-        performance_tokens=("nfc",),
-        data_base=Path("some/db"),
-    )
-    assert parse_startup(serialize_startup(startup)) == StartupFile(
-        tokens=startup.tokens,
-        performance_tokens=startup.performance_tokens,
-        data_base=startup.data_base,
-    )
 
 
 def test_store_path_cli_beats_startup():

@@ -12,7 +12,6 @@ from libopt.hierarchy import (
     generate_indexes,
     locate_list,
     parse_list,
-    scan,
     verify,
 )
 
@@ -140,13 +139,6 @@ def test_generate_indexes_empty_solvers_dir(tmp_path):
     (root / "solvers").mkdir()
     generate_indexes(root)
     assert (root / "solvers/solvers.lst").read_text() == ""
-
-
-def test_scan(fixture_root):
-    hierarchy = scan(fixture_root)
-    assert hierarchy.collections == {"toys"}
-    assert hierarchy.solvers == {"fakea", "fakeb"}
-    assert hierarchy.per_solver_collections["fakea"] == {"toys"}
 
 
 def test_verify_complete_tree_is_clean(fixture_root):

@@ -221,6 +221,7 @@ def test_open_matches_per_line_parse_fields_reference(tmp_path, data):
         ("a%c%p%info=0\n", ":1: corrupt entry: a result needs at least two"),
         ("a%c%p%info=0%n=1 \n", ["a%c%p"]),
         ("a%c%p%info=0%n=1\x85\n", ":1: corrupt entry: unparseable number"),
+        ("a%c%p%info=0%n=1\na%c%p%info=0%n=1\n", ":2: duplicate key a%c%p"),
     ],
 )
 def test_open_pinned_cases_match_the_reference(tmp_path, text, expected):
@@ -246,7 +247,7 @@ def test_save_after_open_is_byte_identical_for_canonical_stores(tmp_path, entrie
 
 def fast_path_takes(number: str) -> bool:
     """Whether Store.open keeps a line holding ``number`` as it is."""
-    return ENTRY_RE.match(f"a%c%p%info=0%n={number}")[5] is not None
+    return ENTRY_RE.match(f"a%c%p%info=0%n={number}")[2] is not None
 
 
 @pytest.mark.parametrize(
@@ -390,6 +391,14 @@ def test_entries_parses_only_the_solvers_asked_for():
     assert got == want
     assert [key.text() for key, _ in got] == ["a%c%p1", "a%d%p2"]
     assert list(store.entries({"x"})) == []
+
+
+def test_entries_of_one_token_layout_share_one_tokens_tuple(tmp_path):
+    path = tmp_path / "dtbopt"
+    path.write_text("a%c%p1%info=0%n=1\na%c%p2%info=1%n=2.5\n")
+    (_, first, _), (_, second, _) = Store.open(path).entries({"a"})
+    assert first == ("info", "n")
+    assert first is second
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
