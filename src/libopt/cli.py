@@ -12,7 +12,6 @@ import gc
 import os
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -20,13 +19,11 @@ from . import __version__
 from .config import (
     ROOT_ENV_VAR,
     PLATFORM_ENV_VAR,
-    StartupFile,
     load_startup,
     resolve_store_path,
     token_config,
 )
 from .errors import LiboptError, read_text
-from .record import TokenConfig
 
 if TYPE_CHECKING:
     from .hierarchy import Report
@@ -48,14 +45,6 @@ ALIASES = {
 }
 
 
-@dataclass
-class GlobalContext:
-    working_dir: Path
-    root: Path | None
-    startup: StartupFile | None
-    config: TokenConfig
-
-
 def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
@@ -75,16 +64,6 @@ def _optional_root() -> Path | None:
     if not root.is_dir():
         raise LiboptError(f"{ROOT_ENV_VAR}={value} is not a directory")
     return root
-
-
-def _context(config_path: str | None) -> GlobalContext:
-    startup = load_startup(config_path)
-    return GlobalContext(
-        working_dir=Path.cwd(),
-        root=_optional_root(),
-        startup=startup,
-        config=token_config(startup),
-    )
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -115,8 +94,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_add(args: argparse.Namespace) -> int:
     from .store import Store, locked, parse_selection
 
-    ctx = _context(args.config)
-    store_path = resolve_store_path(args.db, ctx.startup, ctx.working_dir)
+    startup = load_startup(args.config)
+    store_path = resolve_store_path(args.db, startup, Path.cwd())
     if args.delete is None and args.resfile is None:
         raise LiboptError("nothing to do: give a result file or -d selection")
     if args.delete is not None and args.resfile is not None:
@@ -136,7 +115,9 @@ def cmd_add(args: argparse.Namespace) -> int:
             _list_matches(store, target, args.verbose or args.test)
             result = store.delete(target)
         else:
-            report = store.import_file(resfile, replace=args.replace, config=ctx.config)
+            report = store.import_file(
+                resfile, replace=args.replace, config=token_config(startup)
+            )
         if not args.test:
             store.save()
 
@@ -177,9 +158,11 @@ def cmd_profile(args: argparse.Namespace) -> int:
     )
     from .store import Store
 
-    ctx = _context(args.config)
-    store_path = resolve_store_path(args.db, ctx.startup, ctx.working_dir)
-    spec_path = ctx.working_dir / SPEC_FILENAME
+    startup = load_startup(args.config)
+    working_dir = Path.cwd()
+    root = _optional_root()
+    store_path = resolve_store_path(args.db, startup, working_dir)
+    spec_path = working_dir / SPEC_FILENAME
     if not spec_path.is_file():
         raise LiboptError(f"specification file {SPEC_FILENAME} not found: it is mandatory")
     spec = parse_spec(
@@ -187,10 +170,10 @@ def cmd_profile(args: argparse.Namespace) -> int:
         cli_ptok=args.ptok,
         cli_log=args.log,
         cli_output=args.gfile,
-        config=ctx.config,
+        config=token_config(startup),
         warn=_warn,
     )
-    candidates = gather_candidate_problems(spec, ctx.working_dir, ctx.root, warn=_warn)
+    candidates = gather_candidate_problems(spec, working_dir, root, warn=_warn)
     # no name holds the store: its text is freed once select has parsed
     # the values the table needs
     table = select(spec, Store.open(store_path), candidates, warn=_warn)
@@ -206,7 +189,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
                 f" problems, plateau at {matrix.rho_bar:g}",
                 file=sys.stderr,
             )
-    base = ctx.working_dir / spec.output_base
+    base = working_dir / spec.output_base
     if args.test:
         print(f"test mode: would write {base}.gnu and {base}.m", file=sys.stderr)
         return EXIT_OK if profiles else EXIT_PARTIAL

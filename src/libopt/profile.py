@@ -230,53 +230,51 @@ def select(
 ) -> ResultTable:
     """Pick the problems on which the selected solvers can be compared.
 
-    A problem qualifies when every solver has a stored result for it that
-    carries the performance token, it lies in the candidate set (when one
-    was given), and it passes every problem filter. Filter values are
-    read from the first solver's record; problems lacking the filtered
-    token are discarded.
+    A problem qualifies when it lies in the candidate set (when one was
+    given), every solver has a stored result for it that carries the
+    performance token, and it passes every problem filter. Filter values
+    are read from the first solver's record; problems lacking the
+    filtered token are discarded. For each filter up to the first one
+    that fails, every other solver whose value of the token differs from
+    the first solver's gives one disagreement warning.
     """
-    per_solver: dict[str, dict[ProblemId, dict[str, float]]] = {
-        s: {} for s in spec.solvers
-    }
+    rows: dict[ProblemId, dict[str, dict[str, float]]] = {}
     for key, tokens, values in store.entries(spec.solvers):
-        per_solver[key.solver_with_tag][key.collection, key.problem] = dict(
-            zip(tokens, values)
-        )
-    if candidates is not None:
-        pool = list(candidates)
-    else:
-        common = set.intersection(*(set(d) for d in per_solver.values()))
-        pool = sorted(common)
-
+        row = rows.setdefault((key.collection, key.problem), {})
+        row[key.solver_with_tag] = dict(zip(tokens, values))
     ptok = spec.performance_token
-    eligible: list[ProblemId] = []
-    values: dict[tuple[ProblemId, str], dict[str, float]] = {}
-    for problem in pool:
-        if any(problem not in per_solver[s] for s in spec.solvers):
+    table = ResultTable([], list(spec.solvers), {})
+    for problem in sorted(rows) if candidates is None else candidates:
+        row = rows.get(problem, {})
+        if not all(s in row and ptok in row[s] for s in spec.solvers):
             continue
-        if any(ptok not in per_solver[s][problem] for s in spec.solvers):
-            continue
-        first = per_solver[spec.solvers[0]][problem]
-        keep = True
-        for filt in spec.problem_filters:
-            if filt.token not in first or not filt.accepts(first[filt.token]):
-                keep = False
-                break
-            for other in spec.solvers[1:]:
-                other_value = per_solver[other][problem].get(filt.token)
-                if other_value is not None and other_value != first[filt.token]:
-                    if warn is not None:
-                        warn(
-                            f"token {filt.token!r} disagrees across solvers on"
-                            f" {problem[0]}/{problem[1]}"
-                        )
-        if not keep:
-            continue
-        eligible.append(problem)
-        for s in spec.solvers:
-            values[(problem, s)] = per_solver[s][problem]
-    return ResultTable(eligible, list(spec.solvers), values)
+        if _passes(spec, problem, row, warn):
+            table.problems.append(problem)
+            for s in spec.solvers:
+                table.values[(problem, s)] = row[s]
+    return table
+
+
+def _passes(
+    spec: ProfileSpec,
+    problem: ProblemId,
+    row: dict[str, dict[str, float]],
+    warn: WarnFn | None,
+) -> bool:
+    """Whether a problem's row passes every filter; warns as ``select`` says."""
+    first = row[spec.solvers[0]]
+    for filt in spec.problem_filters:
+        value = first.get(filt.token)
+        if value is None or not filt.accepts(value):
+            return False
+        for other in spec.solvers[1:]:
+            other_value = row[other].get(filt.token)
+            if other_value is not None and other_value != value and warn is not None:
+                warn(
+                    f"token {filt.token!r} disagrees across solvers on"
+                    f" {problem[0]}/{problem[1]}"
+                )
+    return True
 
 
 @dataclass
@@ -305,37 +303,24 @@ def compute_ratios(
     if not table.problems:
         raise ProfileError("no eligible problems")
     tau: dict[tuple[ProblemId, str], float | None] = {}
+    ratios: dict[tuple[ProblemId, str], float] = {}
     for problem in table.problems:
+        successes = {}
         for s in table.solvers:
             values = table.values[(problem, s)]
-            if values[INFO_TOKEN] == 0.0:
-                raw = values[ptok]
-                if raw <= 0.0:
-                    raise ProfileError(
-                        f"nonpositive performance value {format_ratio(raw)} for {s}"
-                        f" on {problem[0]}/{problem[1]}"
-                    )
-                tau[(problem, s)] = raw
-            else:
-                tau[(problem, s)] = None
-
-    finite: dict[tuple[ProblemId, str], float] = {}
-    max_finite = None
-    for problem in table.problems:
-        successes = [
-            tau[(problem, s)] for s in table.solvers if tau[(problem, s)] is not None
-        ]
-        if not successes:
-            continue
-        best = min(successes)
-        for s in table.solvers:
-            value = tau[(problem, s)]
-            if value is None:
+            raw = tau[(problem, s)] = values[ptok] if values[INFO_TOKEN] == 0.0 else None
+            if raw is None:
                 continue
-            ratio = value / best
-            finite[(problem, s)] = ratio
-            if max_finite is None or ratio > max_finite:
-                max_finite = ratio
+            if raw <= 0.0:
+                raise ProfileError(
+                    f"nonpositive performance value {format_ratio(raw)} for {s}"
+                    f" on {problem[0]}/{problem[1]}"
+                )
+            successes[(problem, s)] = raw
+        if successes:
+            best = min(successes.values())
+            ratios.update((key, raw / best) for key, raw in successes.items())
+    max_finite = max(ratios.values(), default=None)
 
     if rho_bar_override is not None:
         if max_finite is not None and rho_bar_override <= max_finite:
@@ -347,11 +332,7 @@ def compute_ratios(
     else:
         rho_bar = max(2.0, 2.0 * max_finite) if max_finite is not None else 2.0
 
-    rho = {
-        (problem, s): finite.get((problem, s), rho_bar)
-        for problem in table.problems
-        for s in table.solvers
-    }
+    rho = {key: ratios.get(key, rho_bar) for key in tau}
     return RatioMatrix(list(table.problems), list(table.solvers), tau, rho, rho_bar)
 
 

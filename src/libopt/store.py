@@ -10,6 +10,7 @@ In memory the store is a map from each key text to its canonical pairs
 text ``%token=number...``: the two halves of the line ``save`` writes,
 so ``save`` is a sorted join. Keys and values are parsed only when
 read: ``entries(solvers)`` for the solvers asked for, and ``query()``.
+No name holds a '%', so ``key_text.split("%")`` is the key's triple.
 Each read entry's token layout is the one shared tuple of its layout
 (``record.token_layout``), so readers hold one copy per distinct layout.
 
@@ -30,7 +31,7 @@ import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Collection, Iterator, NamedTuple
+from typing import Collection, Iterator, NamedTuple, Sequence
 
 from .errors import LiboptError, read_text
 from .record import (
@@ -78,11 +79,6 @@ class StoreKey(NamedTuple):
         return f"{self.solver_with_tag}%{self.collection}%{self.problem}"
 
 
-def _key(key_text: str) -> StoreKey:
-    """The key of a stored key text: no name holds a '%'."""
-    return StoreKey._make(key_text.split("%"))
-
-
 def _parse_entry(line: str) -> tuple[str, tuple[str, ...], tuple[float, ...]]:
     """(key text, tokens, values) of a result line; raises RecordError."""
     solver, _, _, collection, problem, tokens, values = parse_fields(line)
@@ -97,14 +93,14 @@ class Selection:
     collection: str | None = None
     problem: str | None = None
 
-    def matches(self, key: StoreKey) -> bool:
-        if self.solver is not None and key.solver_with_tag != self.solver:
-            return False
-        if self.collection is not None and key.collection != self.collection:
-            return False
-        if self.problem is not None and key.problem != self.problem:
-            return False
-        return True
+    def matches(self, key: Sequence[str]) -> bool:
+        """Whether a (solver[.tag], collection, problem) triple fits."""
+        solver, collection, problem = key
+        return (
+            (self.solver is None or solver == self.solver)
+            and (self.collection is None or collection == self.collection)
+            and (self.problem is None or problem == self.problem)
+        )
 
 
 def parse_selection(text: str) -> Selection | Path:
@@ -245,9 +241,9 @@ class Store:
         tag), in no particular order; only their values are parsed."""
         wanted = frozenset(solvers)
         for key_text, pairs in self._entries.items():
-            key = _key(key_text)
-            if key.solver_with_tag in wanted:
-                yield key, *text_pairs(pairs)
+            key = key_text.split("%")
+            if key[0] in wanted:
+                yield StoreKey._make(key), *text_pairs(pairs)
 
     def query(
         self, selection: Selection | None = None
@@ -256,7 +252,7 @@ class Store:
         selection = selection if selection is not None else Selection()
         found = []
         for key_text in sorted(self._entries):
-            key = _key(key_text)
+            key = StoreKey._make(key_text.split("%"))
             if selection.matches(key):
                 found.append((key, pairs_of(*text_pairs(self._entries[key_text]))))
         return found
@@ -265,7 +261,7 @@ class Store:
         """Remove matching entries (pattern) or the exact triples named by a
         file of result lines."""
         if isinstance(target, Selection):
-            hits = [k for k in self._entries if target.matches(_key(k))]
+            hits = [k for k in self._entries if target.matches(k.split("%"))]
             for key_text in hits:
                 del self._entries[key_text]
             return DeleteResult(len(hits))

@@ -116,6 +116,25 @@ def test_add_then_delete_roundtrip(env, capsys):
     assert len(Store.open(wd / "dtbopt")) == 0
 
 
+def test_add_ignores_a_root_that_is_not_a_directory(env, monkeypatch, capsys):
+    # add never reads the hierarchy
+    _, wd = env
+    monkeypatch.setenv("LIBOPT_DIR", str(wd / "nonexistent"))
+    (wd / "r.lbt").write_text("libopt%a%c%p%info=0%n=1\n")
+    assert main(["add", "r.lbt"]) == 0
+    assert main(["add", "-d", "a%"]) == 0
+    assert "error" not in capsys.readouterr().err
+
+
+def test_profile_checks_the_root_after_the_startup_file(env, monkeypatch, capsys):
+    _, wd = env
+    monkeypatch.setenv("LIBOPT_DIR", str(wd / "nonexistent"))
+    assert main(["profile", "--config", "absent.rc"]) == 2
+    assert "startup file not found" in capsys.readouterr().err
+    assert main(["profile"]) == 2
+    assert "is not a directory" in capsys.readouterr().err
+
+
 def test_add_duplicate_reports_and_exits_one(env, capsys):
     _, wd = env
     (wd / "r.lbt").write_text("libopt%a%c%p%info=0%n=1\n")

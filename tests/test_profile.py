@@ -305,6 +305,31 @@ def test_select_warns_on_cross_solver_descriptive_mismatch():
     assert len(warnings) == 1
 
 
+def test_select_warns_once_per_disagreeing_solver_up_to_the_failing_filter():
+    store = store_with(
+        [
+            "libopt%a%c%p1%n=100%m=1%nfc=1%info=0",
+            "libopt%b%c%p1%n=200%m=2%nfc=2%info=0",
+            "libopt%s%c%p1%n=300%m=1%nfc=3%info=0",
+            "libopt%a%c%p2%n=100%m=50%nfc=1%info=0",
+            "libopt%b%c%p2%n=999%m=60%nfc=2%info=0",
+            "libopt%s%c%p2%n=100%m=50%nfc=3%info=0",
+            "libopt%a%c%p3%n=100%m=1%nfc=1%info=0",
+            "libopt%b%c%p3%n=999%m=9%nfc=2%info=0",
+        ]
+    )
+    spec = parse_spec("solver a b s\nperformance nfc\nproblem n <= 500\nproblem m < 10\n")
+    warnings = []
+    result = select(spec, store, warn=warnings.append)
+    assert result.problems == [("c", "p1")]
+    assert warnings == [
+        "token 'n' disagrees across solvers on c/p1",
+        "token 'n' disagrees across solvers on c/p1",
+        "token 'm' disagrees across solvers on c/p1",
+        "token 'n' disagrees across solvers on c/p2",
+    ]
+
+
 def test_select_respects_candidates_order():
     store = store_with(
         [
