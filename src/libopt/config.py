@@ -44,7 +44,8 @@ class StartupFile:
 def parse_startup(text: str, source_path: Path | None = None) -> StartupFile:
     """Parse startup-file text; unknown or duplicated directives are errors."""
     seen: dict[str, object] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    # only "\n" ends a line: other line breaks are blank space in it
+    for lineno, raw in enumerate(text.split("\n"), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

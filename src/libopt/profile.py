@@ -16,14 +16,26 @@ is the nondecreasing step function
 
 whose value at 1 is the fraction of problems where s is best, and whose
 value just below rho_bar is the fraction of problems s solves at all.
+
+All profiles of one comparison live on one grid: 1, every distinct
+finite ratio, and rho_bar. ``compute_profiles`` builds it once and keeps,
+per solver, only its steps: the sorted grid indices where its count of
+problems rises (one Counter over the grid indices of its ratios) and the
+value from each on, so the work per solver is linear in the problems,
+not the grid. For emission, ``_plot_rows`` formats the shared grid once
+into x texts and cuts each profile into constant-y segments; a segment's
+rows are one join over its slice of the x texts, so no Python loop runs
+per grid point. ``write_outputs`` hands the same rows to both plot files:
+``perf.m`` indents them, ``perf.gnu`` puts a jump row between segments.
 """
 from __future__ import annotations
 
 import math
 import operator
+from collections import Counter, defaultdict
 from contextlib import suppress
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain, compress, repeat
 from pathlib import Path
 from typing import Callable
 
@@ -48,6 +60,8 @@ WarnFn = Callable[[str], None]
 
 # (collection, problem) pair identifying one problem across collections
 ProblemId = tuple[str, str]
+# a profile's steps: (grid, grid indices where its value changes, values)
+Steps = tuple[list[float], list[int], list[float]]
 
 
 class SpecError(LiboptError):
@@ -98,7 +112,8 @@ def parse_spec(
     collections: list[tuple[str, str | None]] = []
     filters: list[ProblemFilter] = []
     single: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    # only "\n" ends a line: other line breaks are blank space in it
+    for lineno, raw in enumerate(text.split("\n"), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -237,21 +252,27 @@ def select(
     filtered token are discarded. For each filter up to the first one
     that fails, every other solver whose value of the token differs from
     the first solver's gives one disagreement warning.
+
+    Only ``info``, the performance token and the filter tokens are read
+    from the store, and only those are in the table's values.
     """
-    rows: dict[ProblemId, dict[str, dict[str, float]]] = {}
-    for key, tokens, values in store.entries(spec.solvers):
-        row = rows.setdefault((key.collection, key.problem), {})
-        row[key.solver_with_tag] = dict(zip(tokens, values))
-    ptok = spec.performance_token
-    table = ResultTable([], list(spec.solvers), {})
+    solvers, ptok = spec.solvers, spec.performance_token
+    needed = {INFO_TOKEN, ptok, *(f.token for f in spec.problem_filters)}
+    rows: defaultdict[ProblemId, dict[str, dict[str, float]]] = defaultdict(dict)
+    for (solver, collection, problem), tokens, values in store.entries(solvers, needed):
+        rows[collection, problem][solver] = dict(zip(tokens, values))
+    table = ResultTable([], list(solvers), {})
     for problem in sorted(rows) if candidates is None else candidates:
+        # a row holds the selected solvers only: it is whole at their count
         row = rows.get(problem, {})
-        if not all(s in row and ptok in row[s] for s in spec.solvers):
+        if len(row) < len(solvers):
+            continue
+        if not all(map(operator.contains, row.values(), repeat(ptok))):
             continue
         if _passes(spec, problem, row, warn):
             table.problems.append(problem)
-            for s in spec.solvers:
-                table.values[(problem, s)] = row[s]
+            keys = zip(repeat(problem), solvers)
+            table.values.update(zip(keys, map(row.__getitem__, solvers)))
     return table
 
 
@@ -336,13 +357,66 @@ def compute_ratios(
     return RatioMatrix(list(table.problems), list(table.solvers), tau, rho, rho_bar)
 
 
-@dataclass(frozen=True)
 class StepFunction:
-    """One solver's profile: nondecreasing steps over [1, rho_bar]."""
+    """One solver's profile: nondecreasing steps over [1, rho_bar].
 
-    solver: str
-    breakpoints: tuple[tuple[float, float], ...]
-    solve_fraction: float
+    ``breakpoints`` pairs each grid point with the profile's value there.
+    A profile is held as its breakpoints or as its steps: the grid, the
+    sorted grid indices where the value changes (the first is 0) and the
+    value from each of them on. Each form is derived from the other when
+    first read, so a profile from ``compute_profiles`` expands its
+    breakpoints only when they are asked for.
+    """
+
+    __slots__ = ("solver", "solve_fraction", "_breakpoints", "_steps")
+
+    def __init__(
+        self,
+        solver: str,
+        breakpoints: tuple[tuple[float, float], ...],
+        solve_fraction: float,
+    ):
+        self.solver, self.solve_fraction = solver, solve_fraction
+        self._breakpoints, self._steps = breakpoints, None
+
+    @classmethod
+    def from_steps(cls, solver: str, steps: Steps, solve_fraction: float) -> StepFunction:
+        profile = cls(solver, None, solve_fraction)
+        profile._steps = steps
+        return profile
+
+    @property
+    def breakpoints(self) -> tuple[tuple[float, float], ...]:
+        if self._breakpoints is None:
+            grid, starts, values = self._steps
+            lengths = map(operator.sub, [*starts[1:], len(grid)], starts)
+            ys = chain.from_iterable(map(repeat, values, lengths))
+            self._breakpoints = tuple(zip(grid, ys))
+        return self._breakpoints
+
+    @property
+    def steps(self) -> Steps:
+        if self._steps is None:
+            points = self.breakpoints
+            grid = list(map(operator.itemgetter(0), points))
+            ys = list(map(operator.itemgetter(1), points))
+            changes = compress(range(1, len(ys)), map(operator.ne, ys, ys[1:]))
+            starts = [0, *changes] if ys else []
+            self._steps = (grid, starts, list(map(ys.__getitem__, starts)))
+        return self._steps
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.solver, self.breakpoints, self.solve_fraction) == (
+            other.solver, other.breakpoints, other.solve_fraction
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"StepFunction({self.solver!r}, {self.breakpoints!r},"
+            f" {self.solve_fraction!r})"
+        )
 
     def value_at(self, t: float) -> float:
         out = 0.0
@@ -353,90 +427,108 @@ class StepFunction:
 
 
 def compute_profiles(matrix: RatioMatrix) -> list[StepFunction]:
-    """Evaluate each solver's step function on the shared breakpoint grid.
+    """Each solver's steps on the shared breakpoint grid.
 
     Every ratio is a grid value, so a solver's value at grid point i is
-    its count of ratios at points 0..i over the problem count.
+    its count of ratios at points 0..i over the problem count: it steps
+    at the grid indices of its ratios, found with one Counter.
     """
-    count = len(matrix.problems)
-    finite = {r for r in matrix.rho.values() if r < matrix.rho_bar}
-    grid = sorted({1.0, *finite}) + [matrix.rho_bar]
-    index = {t: i for i, t in enumerate(grid)}
-    fractions = [solved / count for solved in range(count + 1)]
+    problems, rho, rho_bar = matrix.problems, matrix.rho, matrix.rho_bar
+    count = len(problems)
+    grid = sorted({1.0, *(r for r in rho.values() if r < rho_bar)})
+    grid.append(rho_bar)
+    index = dict(zip(grid, range(len(grid))))
     profiles = []
     for s in matrix.solvers:
-        hits = [0] * len(grid)
-        for p in matrix.problems:
-            hits[index[matrix.rho[(p, s)]]] += 1
-        values = map(fractions.__getitem__, accumulate(hits))
-        solved = sum(1 for p in matrix.problems if matrix.tau[(p, s)] is not None)
-        profiles.append(StepFunction(s, tuple(zip(grid, values)), solved / count))
+        keys = list(zip(problems, repeat(s)))
+        hits = Counter(map(index.__getitem__, map(rho.__getitem__, keys)))
+        starts = sorted(hits)
+        values = [n / count for n in accumulate(map(hits.__getitem__, starts))]
+        if starts[0] != 0:
+            starts.insert(0, 0)
+            values.insert(0, 0.0)
+        solved = count - operator.countOf(map(matrix.tau.__getitem__, keys), None)
+        steps = (grid, starts, values)
+        profiles.append(StepFunction.from_steps(s, steps, solved / count))
     return profiles
 
 
-def format_ratio(x: float) -> str:
-    return f"{x:.6g}"
+# a number as the plot files and messages show it
+format_ratio = "{:.6g}".format
 
 
-def _x_of(t: float, log_scale: bool) -> float:
-    return math.log2(t) if log_scale else t
+# a profile's plot rows: the x texts of its grid, then per constant-y
+# segment its rows "x y" joined by newlines, then per segment after the
+# first its jump row: the segment's first x with the previous y
+PlotRows = tuple[list[str], list[str], list[str]]
 
 
-class _Formatted(dict):
-    """``format_ratio(_x_of(key, log_scale))``, computed once per distinct key."""
+def _plot_rows(profiles: list[StepFunction], log_scale: bool) -> list[PlotRows]:
+    """The plot rows of each profile. Profiles that share one grid share
+    one list of its x texts, formatted once; each segment's rows are one
+    join over its slice of them."""
+    # by id: each grid stays alive with its profiles for the whole call
+    x_texts: dict[int, list[str]] = {}
+    out = []
+    for profile in profiles:
+        grid, starts, values = profile.steps
+        xs = x_texts.get(id(grid))
+        if xs is None:
+            xs = x_texts[id(grid)] = list(
+                map(format_ratio, map(math.log2, grid) if log_scale else grid)
+            )
+        ys = [f" {y}" for y in map(format_ratio, values)]
+        ends = [*starts[1:], len(grid)]
+        segments = [f"{y}\n".join(xs[a:b]) + y for a, b, y in zip(starts, ends, ys)]
+        jumps = [xs[a] + y for a, y in zip(starts[1:], ys)]
+        out.append((xs, segments, jumps))
+    return out
 
-    def __init__(self, log_scale: bool = False):
-        super().__init__()
-        self.log_scale = log_scale
 
-    def __missing__(self, key: float) -> str:
-        text = self[key] = format_ratio(_x_of(key, self.log_scale))
-        return text
-
-
-def _staircase_rows(
-    profile: StepFunction, x_text: _Formatted, y_text: _Formatted
-) -> list[str]:
-    # repeat the previous value at each jump so steps render as horizontal segments
-    rows: list[str] = []
-    prev_value = None
-    for t, value in profile.breakpoints:
-        x = x_text[t]
-        if prev_value is not None and value != prev_value:
-            rows.append(f"{x} {y_text[prev_value]}")
-        rows.append(f"{x} {y_text[value]}")
-        prev_value = value
-    return rows
+def _x_label(log_scale: bool) -> str:
+    return "log2(performance ratio)" if log_scale else "performance ratio"
 
 
 def emit_gnuplot(profiles: list[StepFunction], log_scale: bool = False) -> str:
     """Gnuplot data file: one block per solver, two blank lines between blocks."""
-    x_label = "log2(performance ratio)" if log_scale else "performance ratio"
+    return _gnuplot(profiles, log_scale, _plot_rows(profiles, log_scale))
+
+
+def _gnuplot(
+    profiles: list[StepFunction], log_scale: bool, plot_rows: list[PlotRows]
+) -> str:
     header = [
         "# performance profile data",
-        f"# x: {x_label}, y: fraction of problems",
+        f"# x: {_x_label(log_scale)}, y: fraction of problems",
     ]
     if not profiles:
         return "\n".join(header) + "\n"
-    x_text, y_text = _Formatted(log_scale), _Formatted()
-    blocks = [
-        "\n".join([f"# solver {p.solver}"] + _staircase_rows(p, x_text, y_text))
-        for p in profiles
-    ]
+    blocks = []
+    for profile, (_, segments, jumps) in zip(profiles, plot_rows):
+        # a jump row between segments repeats the previous value, so steps
+        # render as horizontal segments
+        rows = [None] * (2 * len(segments) - 1)
+        rows[::2], rows[1::2] = segments, jumps
+        blocks.append("\n".join([f"# solver {profile.solver}", *rows]))
     return "\n".join(header) + "\n\n" + "\n\n\n".join(blocks) + "\n"
 
 
 def emit_matlab(profiles: list[StepFunction], log_scale: bool = False) -> str:
     """Matlab script: one breakpoint matrix per solver plus staircase plots."""
-    x_label = "log2(performance ratio)" if log_scale else "performance ratio"
+    return _matlab(profiles, log_scale, _plot_rows(profiles, log_scale))
+
+
+def _matlab(
+    profiles: list[StepFunction], log_scale: bool, plot_rows: list[PlotRows]
+) -> str:
     lines = ["% performance profile data"]
     if not profiles:
         lines.append("error('no eligible problems: nothing to plot');")
         return "\n".join(lines) + "\n"
-    x_text, y_text = _Formatted(log_scale), _Formatted()
-    for i, profile in enumerate(profiles, 1):
+    for i, (_, segments, _) in enumerate(plot_rows, 1):
         lines.append(f"data{i} = [")
-        lines += [f"  {x_text[t]} {y_text[value]}" for t, value in profile.breakpoints]
+        if segments:
+            lines.append("  " + "\n".join(segments).replace("\n", "\n  "))
         lines.append("];")
     lines.append("figure;")
     lines.append("hold on;")
@@ -445,10 +537,10 @@ def emit_matlab(profiles: list[StepFunction], log_scale: bool = False) -> str:
     lines.append("hold off;")
     names = ", ".join("'" + p.solver.replace("'", "''") + "'" for p in profiles)
     lines.append(f"legend({names}, 'Location', 'SouthEast');")
-    lines.append(f"xlabel('{x_label}');")
+    lines.append(f"xlabel('{_x_label(log_scale)}');")
     lines.append("ylabel('fraction of problems');")
-    first = profiles[0].breakpoints
-    lines.append(f"axis([{x_text[first[0][0]]} {x_text[first[-1][0]]} 0 1]);")
+    xs = plot_rows[0][0]
+    lines.append(f"axis([{xs[0]} {xs[-1]} 0 1]);")
     return "\n".join(lines) + "\n"
 
 
@@ -460,9 +552,10 @@ def write_outputs(
     """Write the <base>.gnu and <base>.m plot-data files."""
     gnu_path = Path(str(base) + ".gnu")
     m_path = Path(str(base) + ".m")
+    plot_rows = _plot_rows(profiles, log_scale)
     try:
-        gnu_path.write_text(emit_gnuplot(profiles, log_scale))
-        m_path.write_text(emit_matlab(profiles, log_scale))
+        gnu_path.write_text(_gnuplot(profiles, log_scale, plot_rows))
+        m_path.write_text(_matlab(profiles, log_scale, plot_rows))
     except OSError as exc:
         raise ProfileError(f"cannot write plot data: {exc}") from exc
     return gnu_path, m_path

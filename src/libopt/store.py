@@ -9,10 +9,11 @@ rename, and an advisory lock file serializes concurrent writers.
 In memory the store is a map from each key text to its canonical pairs
 text ``%token=number...``: the two halves of the line ``save`` writes,
 so ``save`` is a sorted join. Keys and values are parsed only when
-read: ``entries(solvers)`` for the solvers asked for, and ``query()``.
-No name holds a '%', so ``key_text.split("%")`` is the key's triple.
-Each read entry's token layout is the one shared tuple of its layout
-(``record.token_layout``), so readers hold one copy per distinct layout.
+read: ``entries(solvers, tokens)`` for the solvers and tokens asked for,
+and ``query()``. No name holds a '%', so ``key_text.split("%")`` is the
+key's triple. Each read entry's token layout is the one shared tuple of
+its layout (``record.token_layout``), so readers hold one copy per
+distinct layout.
 
 ``Store.open`` reads the whole file with ``record.ENTRY_RE``, which takes
 each line in the canonical form ``save`` writes, numbers included, and
@@ -30,6 +31,7 @@ import os
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain, compress
 from pathlib import Path
 from typing import Collection, Iterator, NamedTuple, Sequence
 
@@ -77,6 +79,16 @@ class StoreKey(NamedTuple):
 
     def text(self) -> str:
         return f"{self.solver_with_tag}%{self.collection}%{self.problem}"
+
+
+def _pick(
+    layout: tuple[str, ...], tokens: Collection[str] | None
+) -> tuple[tuple[str, ...], list[bool]]:
+    """The tokens of a layout that are read (all without ``tokens``), and
+    the mask of their values over the split ``["", t1, v1, t2, v2, ...]``."""
+    read = [tokens is None or t in tokens for t in layout]
+    names = layout if all(read) else tuple(compress(layout, read))
+    return names, [False, *chain.from_iterable((False, r) for r in read)]
 
 
 def _parse_entry(line: str) -> tuple[str, tuple[str, ...], tuple[float, ...]]:
@@ -235,15 +247,33 @@ class Store:
         return outcome
 
     def entries(
-        self, solvers: Collection[str]
-    ) -> Iterator[tuple[StoreKey, tuple[str, ...], tuple[float, ...]]]:
+        self, solvers: Collection[str], tokens: Collection[str] | None = None
+    ) -> Iterator[tuple[Sequence[str], tuple[str, ...], tuple[float, ...]]]:
         """(key, tokens, values) of every entry of the named solvers (with
-        tag), in no particular order; only their values are parsed."""
+        tag), in no particular order, each from one split of its pairs text.
+
+        Without ``tokens``, every pair is read and the key is a StoreKey.
+        With ``tokens``, only the pairs of those tokens are read (an entry
+        may lack some), and the key is the split key text, a
+        [solver[.tag], collection, problem] list. Which items of the split
+        to read is worked out once per token layout, and the entries of one
+        layout share one tokens tuple.
+        """
         wanted = frozenset(solvers)
+        picks: dict[tuple[str, ...], tuple[tuple[str, ...], list[bool]]] = {}
         for key_text, pairs in self._entries.items():
             key = key_text.split("%")
-            if key[0] in wanted:
-                yield StoreKey._make(key), *text_pairs(pairs)
+            if key[0] not in wanted:
+                continue
+            # "%t1=v1%t2=v2..." -> ["", t1, v1, t2, v2, ...]
+            items = pairs.replace("=", "%").split("%")
+            layout = tuple(items[1::2])
+            pick = picks.get(layout)
+            if pick is None:
+                pick = picks[layout] = _pick(token_layout(layout), tokens)
+            names, mask = pick
+            values = tuple(map(float, compress(items, mask)))
+            yield (key if tokens is not None else StoreKey._make(key)), names, values
 
     def query(
         self, selection: Selection | None = None

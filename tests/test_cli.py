@@ -246,6 +246,19 @@ def test_profile_output_that_cannot_be_written_exits_two(env, capsys, output, me
     assert err.count("\n") == 1 and err.startswith(f"error: {message}")
 
 
+
+def test_profile_checks_the_entries_of_solvers_it_does_not_compare(env, capsys):
+    _, wd = env
+    (wd / "dtbopt").write_text(
+        "a%cA%p1%info=0%nfc=1\nc9%cA%p1%n=1%m=2\nb%cA%p1%info=0%nfc=2\n"
+    )
+    (wd / "perfopt.spc").write_text("solver a b\nperformance nfc\n")
+    assert main(["profile"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {wd / 'dtbopt'}:2: corrupt entry: missing mandatory 'info' pair\n"
+    )
+    assert not (wd / "perf.gnu").exists()
+
 def test_add_requires_a_source(env):
     assert main(["add"]) == 2
 

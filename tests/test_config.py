@@ -82,6 +82,14 @@ def test_parse_rejects_a_data_base_name_holding_a_nul():
         parse_startup("tokens = n info\ndata_base = a\0b\n")
 
 
+
+def test_parse_startup_counts_lines_at_newlines_only():
+    # a form feed is not a line break: line 2 is the bad directive
+    with pytest.raises(ConfigError, match="<startup>:2: unknown directive 'bogus'"):
+        parse_startup("tokens = nfc info\x0c\nbogus = 1\n")
+    startup = parse_startup("tokens = nfc\u2028info\n")
+    assert startup.tokens == ("nfc", "info")
+
 def test_store_path_cli_beats_startup():
     startup = StartupFile(data_base=Path("other"))
     assert resolve_store_path("mydb", startup, Path("/w")) == Path("mydb")

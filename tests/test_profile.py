@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -151,6 +152,14 @@ def test_parse_spec_rejects_an_output_name_holding_a_nul():
     with pytest.raises(SpecError, match="perfopt.spc:3: output file name holds a NUL"):
         parse_spec("solver a b\nperformance t\noutput a\0b\n")
 
+
+
+def test_parse_spec_counts_lines_at_newlines_only():
+    # U+2028 is not a line break: it is blank space inside line 1
+    with pytest.raises(SpecError, match="perfopt.spc:2: unknown directive 'bogus'"):
+        parse_spec("solver a b\u2028performance nfc\nbogus\n")
+    spec = parse_spec("solver a b\u2028c\nperformance nfc\n")
+    assert spec.solvers == ("a", "b", "c")
 
 def test_parse_spec_duplicate_solver_warns_and_dedupes():
     warnings = []
@@ -342,6 +351,45 @@ def test_select_respects_candidates_order():
     spec = parse_spec("solver a b\nperformance nfc\n")
     result = select(spec, store, candidates=[("c", "p2"), ("c", "p1"), ("c", "p9")])
     assert result.problems == [("c", "p2"), ("c", "p1")]
+
+
+
+def test_select_reads_only_the_needed_tokens_whatever_their_layout():
+    # each solver orders its tokens its own way and carries tokens the spec
+    # never names; some entries lack the performance or a filter token
+    layouts = {
+        "a": ("x", "info", "n", "nfc", "y", "m"),
+        "b.v2": ("m", "y", "nfc", "z", "info", "n"),
+        "c": ("nfc", "z", "m", "x", "n", "info"),
+    }
+    needed = ("info", "nfc", "n", "m")
+    rng = random.Random(7)
+    full, lean = Store(), Store()
+    for p in range(60):
+        common = {"n": float(rng.choice([100, 400, 900])), "m": float(rng.randint(1, 12))}
+        for solver, layout in layouts.items():
+            values = {t: float(rng.randint(1, 9)) for t in layout}
+            values.update(common, info=float(rng.random() < 0.2))
+            if rng.random() < 0.2:
+                values["n"] = 999.0  # disagrees with the other solvers
+            for token in ("nfc", "n", "m"):
+                if rng.random() < 0.05:
+                    del values[token]
+            head = f"libopt%{solver}%c%p{p:02d}"
+            for store, tokens in ((full, layout), (lean, needed)):
+                pairs = "".join(f"%{t}={values[t]:g}" for t in tokens if t in values)
+                store.add(parse_line(head + pairs))
+    spec = parse_spec(
+        "solver a b.v2 c\nperformance nfc\nproblem n <= 500\nproblem m < 10\n"
+    )
+    candidates = [("c", f"p{p:02d}") for p in rng.sample(range(70), 50)]
+    for given in (None, candidates):
+        got_warnings, want_warnings = [], []
+        got = select(spec, full, given, warn=got_warnings.append)
+        want = select(spec, lean, given, warn=want_warnings.append)
+        assert 0 < len(got.problems) < 50
+        assert got == want
+        assert got_warnings == want_warnings != []
 
 
 # --- ratios and profiles ----------------------------------------------------
@@ -613,13 +661,26 @@ def reference_matlab(profiles, log_scale):
     return "\n".join(lines) + "\n"
 
 
+# seeds of random_table: the small tables, then the large ones
+SMALL_SEEDS = range(40)
+LARGE_SEEDS = range(40, 42)
+TABLE_SEEDS = [*SMALL_SEEDS, *LARGE_SEEDS]
+
+
 def random_table(seed):
     """Solvers x problems with ties (few distinct taus), all-fail rows and
-    a chance of a single problem."""
+    a chance of a single problem. LARGE_SEEDS give 8 solvers x
+    2,000 problems over 400 distinct taus: a grid of thousands of points,
+    which each solver crosses in long constant segments."""
     rng = random.Random(seed)
-    solvers = [f"s{i}" for i in range(rng.randint(2, 6))]
-    n_problems = 1 if seed % 4 == 0 else rng.randint(2, 60)
-    taus = [float(rng.randint(1, 12)) for _ in range(rng.randint(1, 8))]
+    if seed in SMALL_SEEDS:
+        solvers = [f"s{i}" for i in range(rng.randint(2, 6))]
+        n_problems = 1 if seed % 4 == 0 else rng.randint(2, 60)
+        taus = [float(rng.randint(1, 12)) for _ in range(rng.randint(1, 8))]
+    else:
+        solvers = [f"s{i}" for i in range(8)]
+        n_problems = 2000
+        taus = [float(rng.randint(1, 5000)) for _ in range(400)]
     rows = {}
     for p in range(n_problems):
         all_fail = rng.random() < 0.15
@@ -630,7 +691,7 @@ def random_table(seed):
     return table(solvers, rows)
 
 
-@pytest.mark.parametrize("seed", range(40))
+@pytest.mark.parametrize("seed", TABLE_SEEDS)
 def test_compute_profiles_matches_bisect_reference(seed):
     t = random_table(seed)
     for override in (None, 1000.0):
@@ -638,10 +699,35 @@ def test_compute_profiles_matches_bisect_reference(seed):
         assert compute_profiles(matrix) == bisect_profiles(matrix)
 
 
-@pytest.mark.parametrize("seed", range(40))
+def assert_same_text(got, want):
+    """got == want, reported by the first line that differs: pytest's own
+    diff of two texts of 100k lines runs for minutes."""
+    if got != want:
+        pairs = zip_longest(got.split("\n"), want.split("\n"))
+        lineno, (line, expected) = next(
+            (i, pair) for i, pair in enumerate(pairs, 1) if pair[0] != pair[1]
+        )
+        pytest.fail(f"line {lineno} is {line!r}, expected {expected!r}")
+
+
+@pytest.mark.parametrize("seed", TABLE_SEEDS)
 @pytest.mark.parametrize("log_scale", [False, True])
 def test_emitters_match_per_row_reference(seed, log_scale):
     profiles = compute_profiles(compute_ratios(random_table(seed), "nfc"))
+    gnu, m = emit_gnuplot(profiles, log_scale), emit_matlab(profiles, log_scale)
+    assert_same_text(gnu, reference_gnuplot(profiles, log_scale))
+    assert_same_text(m, reference_matlab(profiles, log_scale))
+
+
+@pytest.mark.parametrize("log_scale", [False, True])
+def test_emitters_match_the_reference_on_hand_built_profiles_of_several_grids(log_scale):
+    profiles = [
+        StepFunction("h1", ((1.0, 0.25), (1.5, 0.25), (2.0, 0.75), (4.0, 0.75)), 0.75),
+        *compute_profiles(compute_ratios(WORKED, "nfc")),
+        StepFunction("h2", ((1.0, 0.0), (3.0, 0.5), (3.5, 0.5), (6.0, 1.0)), 1.0),
+        StepFunction("empty", (), 0.0),
+        StepFunction("h3", ((1.0, 1.0),), 1.0),
+    ]
     assert emit_gnuplot(profiles, log_scale) == reference_gnuplot(profiles, log_scale)
     assert emit_matlab(profiles, log_scale) == reference_matlab(profiles, log_scale)
 
@@ -659,3 +745,18 @@ def test_random_tables_cover_ties_failures_and_single_problems():
         for t in tables
         for p in t.problems
     )
+
+
+@pytest.mark.parametrize("seed", LARGE_SEEDS)
+def test_large_random_tables_cover_ties_failures_and_long_segments(seed):
+    t = random_table(seed)
+    assert (len(t.solvers), len(t.problems)) == (8, 2000)
+    assert any(all(t.values[(p, s)]["info"] != 0.0 for s in t.solvers) for p in t.problems)
+    assert any(
+        len({t.values[(p, s)]["nfc"] for s in t.solvers}) < len(t.solvers)
+        for p in t.problems
+    )
+    profiles = compute_profiles(compute_ratios(t, "nfc"))
+    assert len(profiles[0].steps[0]) > 2000
+    starts = [p.steps[1] for p in profiles]
+    assert max(b - a for s in starts for a, b in zip(s, s[1:])) > 30
