@@ -16,13 +16,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .config import (
-    ROOT_ENV_VAR,
-    PLATFORM_ENV_VAR,
-    load_startup,
-    resolve_store_path,
-    token_config,
-)
+from .config import ROOT_ENV_VAR, load_startup, resolve_store_path, token_config
 from .errors import LiboptError, read_text
 
 if TYPE_CHECKING:
@@ -77,16 +71,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         path = Path(args.command_file)
         if not path.is_file():
             raise LiboptError(f"command file not found: {path}")
-        lines = read_text(path, "command file").splitlines()
+        # only "\n" ends a line, as on standard input
+        lines = read_text(path, "command file").split("\n")
     else:
         lines = (line.rstrip("\n") for line in sys.stdin)
-    summary = run_batch(
-        options,
-        working_dir,
-        root,
-        lines,
-        platform=os.environ.get(PLATFORM_ENV_VAR),
-    )
+    summary = run_batch(options, working_dir, root, lines)
     print(summary, file=sys.stderr)
     return EXIT_OK if summary.skips == 0 and summary.failures == 0 else EXIT_PARTIAL
 

@@ -16,11 +16,10 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import LiboptError, read_text
+from .errors import LiboptError, content_lines, read_text
 from .record import RecordError, TokenConfig, check_name
 
 ROOT_ENV_VAR = "LIBOPT_DIR"
-PLATFORM_ENV_VAR = "LIBOPT_PLAT"
 RC_ENV_VAR = "LIBOPT_RC"
 DEFAULT_RC_NAME = ".liboptrc"
 DEFAULT_STORE_NAME = "dtbopt"
@@ -44,11 +43,7 @@ class StartupFile:
 def parse_startup(text: str, source_path: Path | None = None) -> StartupFile:
     """Parse startup-file text; unknown or duplicated directives are errors."""
     seen: dict[str, object] = {}
-    # only "\n" ends a line: other line breaks are blank space in it
-    for lineno, raw in enumerate(text.split("\n"), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         name, sep, value = line.partition("=")
         name = name.strip()
         value = value.strip()

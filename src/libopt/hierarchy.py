@@ -8,7 +8,7 @@ The hierarchy rooted at ``$LIBOPT_DIR`` looks like
 plus the generated index lists ``collections/collections.lst``,
 ``solvers/solvers.lst`` and ``solvers/<solv>/collections.lst``. A list
 file is a whitespace-separated sequence of names; ``#`` starts a comment
-running to the end of the line.
+running to the end of the line, and only "\n" ends a line.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-from .errors import LiboptError, read_text
+from .errors import LiboptError, content_lines, read_text
 from .record import check_name, is_name
 
 COLLECTIONS_DIR = "collections"
@@ -47,9 +47,8 @@ def parse_list(
     """Parse list-file text; duplicates keep their first occurrence."""
     names: list[str] = []
     seen: set[str] = set()
-    for raw in text.splitlines():
-        body = raw.split("#", 1)[0]
-        for word in body.split():
+    for _, line in content_lines(text):
+        for word in line.split():
             check_name(word, f"list entry in {source or '<list>'}")
             if word in seen:
                 if warn is not None:

@@ -22,11 +22,14 @@ finite ratio, and rho_bar. ``compute_profiles`` builds it once and keeps,
 per solver, only its steps: the sorted grid indices where its count of
 problems rises (one Counter over the grid indices of its ratios) and the
 value from each on, so the work per solver is linear in the problems,
-not the grid. For emission, ``_plot_rows`` formats the shared grid once
-into x texts and cuts each profile into constant-y segments; a segment's
-rows are one join over its slice of the x texts, so no Python loop runs
-per grid point. ``write_outputs`` hands the same rows to both plot files:
-``perf.m`` indents them, ``perf.gnu`` puts a jump row between segments.
+not the grid. A ``StepFunction`` is that one form: built from
+breakpoints, it turns them into steps once, and its ``breakpoints`` are
+derived from the steps when read. For emission, ``_plot_rows`` formats
+the shared grid once into x texts and cuts each profile into constant-y
+segments; a segment's rows are one join over its slice of the x texts,
+so no Python loop runs per grid point. ``write_outputs`` hands the same
+rows to both plot files: ``perf.m`` indents them, ``perf.gnu`` puts a
+jump row between segments.
 """
 from __future__ import annotations
 
@@ -39,7 +42,7 @@ from itertools import accumulate, chain, compress, repeat
 from pathlib import Path
 from typing import Callable
 
-from .errors import LiboptError
+from .errors import LiboptError, content_lines
 from .hierarchy import read_list
 from .record import INFO_TOKEN, TokenConfig, check_name, split_solver_field
 from .store import Store
@@ -112,11 +115,7 @@ def parse_spec(
     collections: list[tuple[str, str | None]] = []
     filters: list[ProblemFilter] = []
     single: dict[str, str] = {}
-    # only "\n" ends a line: other line breaks are blank space in it
-    for lineno, raw in enumerate(text.split("\n"), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         fields = line.split()
         directive, args = fields[0], fields[1:]
         where = f"{SPEC_FILENAME}:{lineno}"
@@ -258,8 +257,11 @@ def select(
     """
     solvers, ptok = spec.solvers, spec.performance_token
     needed = {INFO_TOKEN, ptok, *(f.token for f in spec.problem_filters)}
+    wanted = frozenset(solvers)
     rows: defaultdict[ProblemId, dict[str, dict[str, float]]] = defaultdict(dict)
-    for (solver, collection, problem), tokens, values in store.entries(solvers, needed):
+    for (solver, collection, problem), tokens, values in store.entries(
+        lambda key: key[0] in wanted, needed
+    ):
         rows[collection, problem][solver] = dict(zip(tokens, values))
     table = ResultTable([], list(solvers), {})
     for problem in sorted(rows) if candidates is None else candidates:
@@ -360,15 +362,14 @@ def compute_ratios(
 class StepFunction:
     """One solver's profile: nondecreasing steps over [1, rho_bar].
 
-    ``breakpoints`` pairs each grid point with the profile's value there.
-    A profile is held as its breakpoints or as its steps: the grid, the
-    sorted grid indices where the value changes (the first is 0) and the
-    value from each of them on. Each form is derived from the other when
-    first read, so a profile from ``compute_profiles`` expands its
-    breakpoints only when they are asked for.
+    A profile is its steps: the grid, the sorted grid indices where the
+    value changes (the first is 0) and the value from each of them on.
+    The constructor takes ``breakpoints``, each grid point paired with the
+    profile's value there, and keeps their steps; ``breakpoints`` is
+    derived from the steps when read.
     """
 
-    __slots__ = ("solver", "solve_fraction", "_breakpoints", "_steps")
+    __slots__ = ("solver", "steps", "solve_fraction")
 
     def __init__(
         self,
@@ -376,34 +377,24 @@ class StepFunction:
         breakpoints: tuple[tuple[float, float], ...],
         solve_fraction: float,
     ):
-        self.solver, self.solve_fraction = solver, solve_fraction
-        self._breakpoints, self._steps = breakpoints, None
+        grid = list(map(operator.itemgetter(0), breakpoints))
+        ys = list(map(operator.itemgetter(1), breakpoints))
+        changes = compress(range(1, len(ys)), map(operator.ne, ys, ys[1:]))
+        starts = [0, *changes] if ys else []
+        steps = (grid, starts, list(map(ys.__getitem__, starts)))
+        self.solver, self.steps, self.solve_fraction = solver, steps, solve_fraction
 
     @classmethod
     def from_steps(cls, solver: str, steps: Steps, solve_fraction: float) -> StepFunction:
-        profile = cls(solver, None, solve_fraction)
-        profile._steps = steps
+        profile = cls.__new__(cls)
+        profile.solver, profile.steps, profile.solve_fraction = solver, steps, solve_fraction
         return profile
 
     @property
     def breakpoints(self) -> tuple[tuple[float, float], ...]:
-        if self._breakpoints is None:
-            grid, starts, values = self._steps
-            lengths = map(operator.sub, [*starts[1:], len(grid)], starts)
-            ys = chain.from_iterable(map(repeat, values, lengths))
-            self._breakpoints = tuple(zip(grid, ys))
-        return self._breakpoints
-
-    @property
-    def steps(self) -> Steps:
-        if self._steps is None:
-            points = self.breakpoints
-            grid = list(map(operator.itemgetter(0), points))
-            ys = list(map(operator.itemgetter(1), points))
-            changes = compress(range(1, len(ys)), map(operator.ne, ys, ys[1:]))
-            starts = [0, *changes] if ys else []
-            self._steps = (grid, starts, list(map(ys.__getitem__, starts)))
-        return self._steps
+        grid, starts, values = self.steps
+        lengths = map(operator.sub, [*starts[1:], len(grid)], starts)
+        return tuple(zip(grid, chain.from_iterable(map(repeat, values, lengths))))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -539,8 +530,10 @@ def _matlab(
     lines.append(f"legend({names}, 'Location', 'SouthEast');")
     lines.append(f"xlabel('{_x_label(log_scale)}');")
     lines.append("ylabel('fraction of problems');")
-    xs = plot_rows[0][0]
-    lines.append(f"axis([{xs[0]} {xs[-1]} 0 1]);")
+    # the x range of the first profile that has points, if one has
+    xs = next(filter(None, (xs for xs, _, _ in plot_rows)), None)
+    if xs is not None:
+        lines.append(f"axis([{xs[0]} {xs[-1]} 0 1]);")
     return "\n".join(lines) + "\n"
 
 

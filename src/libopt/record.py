@@ -177,13 +177,6 @@ def text_layout(pairs: str) -> tuple[str, ...]:
     return token_layout(tuple(pairs.replace("=", "%").split("%")[1::2]))
 
 
-def text_pairs(pairs: str) -> tuple[tuple[str, ...], tuple[float, ...]]:
-    """The (shared token layout, values) of canonical pairs text, from one
-    split."""
-    items = pairs.replace("=", "%").split("%")
-    return token_layout(tuple(items[1::2])), tuple(map(float, items[2::2]))
-
-
 @dataclass(frozen=True)
 class LiboptRecord:
     """One parsed result: who ran what, plus the measured token values."""

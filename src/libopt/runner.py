@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, TextIO
 
-from .config import PLATFORM_ENV_VAR, ROOT_ENV_VAR
+from .config import ROOT_ENV_VAR
 from .errors import LiboptError
 from .hierarchy import ALL_LIST, SOLVERS_DIR, ProblemList, locate_list, read_list
 from .record import LiboptRecord, check_name, filter_stream, split_solver_field
@@ -69,7 +69,6 @@ class RunOutcome:
     status: int
     records: list[LiboptRecord] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
-    executed: bool = True
 
 
 @dataclass
@@ -153,7 +152,6 @@ def execute(
     working_dir: Path,
     root: Path,
     *,
-    platform: str | None = None,
     env: dict[str, str] | None = None,
     out: TextIO | None = None,
     err: TextIO | None = None,
@@ -176,7 +174,7 @@ def execute(
     if options.test or options.verbose:
         print(f"+ {shlex.join(argv)}", file=err)
     if options.test:
-        return RunOutcome(0, executed=False)
+        return RunOutcome(0)
     if not driver.is_file():
         return RunOutcome(127, warnings=[f"missing driver {driver}"])
     if not os.access(driver, os.X_OK):
@@ -184,8 +182,6 @@ def execute(
 
     child_env = dict(os.environ if env is None else env)
     child_env[ROOT_ENV_VAR] = str(Path(root).resolve())
-    if platform is not None:
-        child_env[PLATFORM_ENV_VAR] = platform
     outcome = RunOutcome(0)
     try:
         proc = subprocess.Popen(
@@ -222,7 +218,6 @@ def run_batch(
     root: Path,
     lines: Iterable[str],
     *,
-    platform: str | None = None,
     out: TextIO | None = None,
     err: TextIO | None = None,
 ) -> BatchSummary:
@@ -261,13 +256,11 @@ def run_batch(
             run = ElementaryRun(
                 directive.solver, directive.tag, directive.collection, problem, options
             )
-            outcome = execute(
-                run, working_dir, root, platform=platform, out=out, err=err
-            )
+            outcome = execute(run, working_dir, root, out=out, err=err)
             summary.runs += 1
             for message in outcome.warnings:
                 warn(message)
-            if outcome.executed and outcome.status != 0:
+            if outcome.status != 0:
                 summary.failures += 1
                 print(
                     f"driver for {directive.solver}/{directive.collection} exited"

@@ -9,11 +9,12 @@ rename, and an advisory lock file serializes concurrent writers.
 In memory the store is a map from each key text to its canonical pairs
 text ``%token=number...``: the two halves of the line ``save`` writes,
 so ``save`` is a sorted join. Keys and values are parsed only when
-read: ``entries(solvers, tokens)`` for the solvers and tokens asked for,
-and ``query()``. No name holds a '%', so ``key_text.split("%")`` is the
-key's triple. Each read entry's token layout is the one shared tuple of
-its layout (``record.token_layout``), so readers hold one copy per
-distinct layout.
+read, and ``entries(match, tokens)`` is the one reader: the entries
+whose key ``match`` accepts, with the values of the tokens asked for,
+each from one split of its pairs text. ``query()`` is its sorted view.
+No name holds a '%', so ``key_text.split("%")`` is the key's triple.
+Each read entry's token layout is the one shared tuple of its layout
+(``record.token_layout``), so readers hold one copy per distinct layout.
 
 ``Store.open`` reads the whole file with ``record.ENTRY_RE``, which takes
 each line in the canonical form ``save`` writes, numbers included, and
@@ -33,7 +34,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain, compress
 from pathlib import Path
-from typing import Collection, Iterator, NamedTuple, Sequence
+from typing import Callable, Collection, Iterator, NamedTuple, Sequence
 
 from .errors import LiboptError, read_text
 from .record import (
@@ -51,7 +52,6 @@ from .record import (
     parse_fields,
     split_solver_field,
     text_layout,
-    text_pairs,
     token_layout,
     validate_tokens,
 )
@@ -247,23 +247,23 @@ class Store:
         return outcome
 
     def entries(
-        self, solvers: Collection[str], tokens: Collection[str] | None = None
-    ) -> Iterator[tuple[Sequence[str], tuple[str, ...], tuple[float, ...]]]:
-        """(key, tokens, values) of every entry of the named solvers (with
-        tag), in no particular order, each from one split of its pairs text.
+        self,
+        match: Callable[[list[str]], bool],
+        tokens: Collection[str] | None = None,
+    ) -> Iterator[tuple[list[str], tuple[str, ...], tuple[float, ...]]]:
+        """(key, tokens, values) of every entry whose split key text, the
+        list [solver[.tag], collection, problem], ``match`` accepts, in no
+        particular order, each from one split of its pairs text.
 
-        Without ``tokens``, every pair is read and the key is a StoreKey.
-        With ``tokens``, only the pairs of those tokens are read (an entry
-        may lack some), and the key is the split key text, a
-        [solver[.tag], collection, problem] list. Which items of the split
-        to read is worked out once per token layout, and the entries of one
-        layout share one tokens tuple.
+        Without ``tokens`` every pair is read; with ``tokens``, only the
+        pairs of those tokens (an entry may lack some). Which items of the
+        split to read is worked out once per token layout, and the entries
+        of one layout share one tokens tuple.
         """
-        wanted = frozenset(solvers)
         picks: dict[tuple[str, ...], tuple[tuple[str, ...], list[bool]]] = {}
         for key_text, pairs in self._entries.items():
             key = key_text.split("%")
-            if key[0] not in wanted:
+            if not match(key):
                 continue
             # "%t1=v1%t2=v2..." -> ["", t1, v1, t2, v2, ...]
             items = pairs.replace("=", "%").split("%")
@@ -272,20 +272,20 @@ class Store:
             if pick is None:
                 pick = picks[layout] = _pick(token_layout(layout), tokens)
             names, mask = pick
-            values = tuple(map(float, compress(items, mask)))
-            yield (key if tokens is not None else StoreKey._make(key)), names, values
+            yield key, names, tuple(map(float, compress(items, mask)))
 
     def query(
         self, selection: Selection | None = None
     ) -> list[tuple[StoreKey, tuple[TokenPair, ...]]]:
-        """Entries matching the selection, in canonical key order."""
+        """Entries matching the selection, in canonical key order: the
+        sorted view of ``entries``."""
         selection = selection if selection is not None else Selection()
-        found = []
-        for key_text in sorted(self._entries):
-            key = StoreKey._make(key_text.split("%"))
-            if selection.matches(key):
-                found.append((key, pairs_of(*text_pairs(self._entries[key_text]))))
-        return found
+        # by key text: a tag may hold a character that sorts below '%'
+        found = sorted(self.entries(selection.matches), key=lambda e: "%".join(e[0]))
+        return [
+            (StoreKey._make(key), pairs_of(tokens, values))
+            for key, tokens, values in found
+        ]
 
     def delete(self, target: Selection | Path) -> DeleteResult:
         """Remove matching entries (pattern) or the exact triples named by a

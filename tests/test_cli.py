@@ -70,6 +70,20 @@ def test_run_from_stdin(env, monkeypatch, capsys):
     assert "libopt%fakea%toys%alpha%" in out
 
 
+def test_run_reads_a_command_file_as_it_reads_stdin(env, monkeypatch, capsys):
+    # only "\n" ends a command line: the comment runs past the "\x85"
+    _, wd = env
+    text = "fakea toys alpha # then\x85fakeb toys alpha\n"
+    (wd / "cmds").write_text(text)
+    assert main(["run", "cmds"]) == 0
+    from_file = capsys.readouterr()
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(["run"]) == 0
+    assert capsys.readouterr() == from_file
+    assert "libopt%fakeb%" not in from_file.out
+    assert from_file.err.endswith("commands: 1, runs: 1, skips: 0, failures: 0\n")
+
+
 def test_run_skip_exits_one(env, monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO("fakea toys.nosuch\n"))
     assert main(["run"]) == 1

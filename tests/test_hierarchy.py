@@ -21,6 +21,12 @@ def test_parse_list_with_comment_and_newlines():
     assert plist.names == ("u1mt1", "u1mt2", "u1mt3")
 
 
+def test_parse_list_ends_lines_at_newline_only():
+    # other line breaks are blank space: a comment runs past them
+    assert parse_list("p1 # note\x85p2\n").names == ("p1",)
+    assert parse_list("p1\x85p2 # note\u2028p3\np4").names == ("p1", "p2", "p4")
+
+
 def test_parse_list_empty():
     assert parse_list("").names == ()
 

@@ -570,6 +570,24 @@ def test_emit_gnuplot_log_scale():
     assert "1.58496 0.5" in text
 
 
+def test_emit_matlab_of_an_empty_profile_alone_has_no_axis_line():
+    text = emit_matlab([StepFunction("e", (), 0.0)])
+    assert "data1 = [\n];\n" in text
+    assert "axis" not in text
+    assert text.endswith("ylabel('fraction of problems');\n")
+
+
+def test_emit_matlab_takes_the_axis_of_the_first_profile_with_points():
+    profiles = [
+        StepFunction("e", (), 0.0),
+        StepFunction("s", ((1.0, 0.5), (3.0, 1.0)), 1.0),
+        StepFunction("t", ((1.0, 1.0), (8.0, 1.0)), 1.0),
+    ]
+    text = emit_matlab(profiles)
+    assert text.endswith("axis([1 3 0 1]);\n")
+    assert emit_matlab(profiles, log_scale=True).endswith("axis([0 1.58496 0 1]);\n")
+
+
 def test_emit_gnuplot_empty_is_header_only():
     text = emit_gnuplot([])
     assert text.startswith("#")
@@ -650,14 +668,17 @@ def reference_matlab(profiles, log_scale):
     lines += [f"stairs(data{i}(:,1), data{i}(:,2));" for i in range(1, len(profiles) + 1)]
     names = ", ".join(f"'{p.solver}'" for p in profiles)
     x_label = "log2(performance ratio)" if log_scale else "performance ratio"
-    first = profiles[0].breakpoints
     lines += [
         "hold off;",
         f"legend({names}, 'Location', 'SouthEast');",
         f"xlabel('{x_label}');",
         "ylabel('fraction of problems');",
-        f"axis([{fmt(first[0][0], log_scale)} {fmt(first[-1][0], log_scale)} 0 1]);",
     ]
+    first = next((p.breakpoints for p in profiles if p.breakpoints), None)
+    if first is not None:
+        lines.append(
+            f"axis([{fmt(first[0][0], log_scale)} {fmt(first[-1][0], log_scale)} 0 1]);"
+        )
     return "\n".join(lines) + "\n"
 
 

@@ -385,18 +385,28 @@ def test_entries_parses_only_the_solvers_asked_for():
     ]:
         store.add(rec(line))
     got = sorted(
-        (key, tuple(zip(tokens, values))) for key, tokens, values in store.entries({"a"})
+        (tuple(key), tuple(zip(tokens, values)))
+        for key, tokens, values in store.entries(lambda key: key[0] == "a")
     )
     want = [(key, tuple(pairs)) for key, pairs in store.query(Selection(solver="a"))]
     assert got == want
-    assert [key.text() for key, _ in got] == ["a%c%p1", "a%d%p2"]
-    assert list(store.entries({"x"})) == []
+    assert ["%".join(key) for key, _ in got] == ["a%c%p1", "a%d%p2"]
+    assert list(store.entries(lambda key: key[0] == "x")) == []
+
+
+def test_query_is_in_key_text_order():
+    # '!' sorts below the '%' that ends the solver field: the order of the
+    # key texts is not the order of their [solver, collection, problem] lists
+    store = Store()
+    for solver in ["a.!", "a", "a.!!"]:
+        store.add(rec(f"libopt%{solver}%c%p%info=0%n=1"))
+    assert [key.text() for key, _ in store.query()] == ["a%c%p", "a.!!%c%p", "a.!%c%p"]
 
 
 def test_entries_of_one_token_layout_share_one_tokens_tuple(tmp_path):
     path = tmp_path / "dtbopt"
     path.write_text("a%c%p1%info=0%n=1\na%c%p2%info=1%n=2.5\n")
-    (_, first, _), (_, second, _) = Store.open(path).entries({"a"})
+    (_, first, _), (_, second, _) = Store.open(path).entries(lambda key: key[0] == "a")
     assert first == ("info", "n")
     assert first is second
 
