@@ -21,11 +21,15 @@ from .errors import LiboptError, read_text
 
 if TYPE_CHECKING:
     from .hierarchy import Report
-    from .store import Store
 
-# Each handler imports its own stage modules: every call pays for the
-# modules it loads, and `add` uses none of those of `run`, `profile` or
-# `install`.
+# Each handler imports its own stage modules, and a module imports what
+# only one of its functions needs inside that function (`tempfile` in
+# `Store.save`): every call pays for each module it loads, and compiles
+# it from source when bytecode caching is off. So `add` loads none of the
+# modules of `run`, `profile` or `install`; `profile` reads list files
+# without `hierarchy`; `--version`, `run` and `install` do not load
+# `store`; and no call loads `inspect`. `tests/test_cli.py` pins these
+# sets.
 
 EXIT_OK = 0
 EXIT_PARTIAL = 1
@@ -81,7 +85,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_add(args: argparse.Namespace) -> int:
-    from .store import Store, locked, parse_selection
+    from .store import Selection, Store, locked, parse_selection
 
     startup = load_startup(args.config)
     store_path = resolve_store_path(args.db, startup, Path.cwd())
@@ -101,7 +105,9 @@ def cmd_add(args: argparse.Namespace) -> int:
     with nullcontext() if args.test else locked(store_path):
         store = Store.open(store_path)
         if deleting:
-            _list_matches(store, target, args.verbose or args.test)
+            if (args.verbose or args.test) and isinstance(target, Selection):
+                for key, _ in store.query(target):
+                    print(key.text(), file=sys.stderr)
             result = store.delete(target)
         else:
             report = store.import_file(
@@ -125,14 +131,6 @@ def cmd_add(args: argparse.Namespace) -> int:
     )
     clean = report.duplicates == 0 and report.invalid == 0
     return EXIT_OK if clean else EXIT_PARTIAL
-
-
-def _list_matches(store: Store, target, wanted: bool) -> None:
-    from .store import Selection
-
-    if wanted and isinstance(target, Selection):
-        for key, _ in store.query(target):
-            print(key.text(), file=sys.stderr)
 
 
 def cmd_profile(args: argparse.Namespace) -> int:

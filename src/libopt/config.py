@@ -13,8 +13,8 @@ directory.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import LiboptError, content_lines, read_text
 from .record import RecordError, TokenConfig, check_name
@@ -32,8 +32,7 @@ class ConfigError(LiboptError):
     pass
 
 
-@dataclass(frozen=True)
-class StartupFile:
+class StartupFile(NamedTuple):
     tokens: tuple[str, ...] | None = None
     performance_tokens: tuple[str, ...] | None = None
     data_base: Path | None = None

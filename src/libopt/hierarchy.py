@@ -8,17 +8,19 @@ The hierarchy rooted at ``$LIBOPT_DIR`` looks like
 plus the generated index lists ``collections/collections.lst``,
 ``solvers/solvers.lst`` and ``solvers/<solv>/collections.lst``. A list
 file is a whitespace-separated sequence of names; ``#`` starts a comment
-running to the end of the line, and only "\n" ends a line.
+running to the end of the line, and only "\n" ends a line. Its reader
+lives in ``record``, so a profile reads list files without this module;
+``HierarchyError``, ``ProblemList``, ``parse_list`` and ``read_list`` are
+re-exported here.
 """
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import NamedTuple
 
-from .errors import LiboptError, content_lines, read_text
-from .record import check_name, is_name
+from .errors import LiboptError
+from .record import HierarchyError, ProblemList, is_name, parse_list, read_list  # noqa: F401
 
 COLLECTIONS_DIR = "collections"
 SOLVERS_DIR = "solvers"
@@ -27,41 +29,6 @@ DEFAULT_LIST = "default.lst"
 
 # conventional location for solver binaries, not a collection interface
 RESERVED_SOLVER_SUBDIRS = {"bin"}
-
-WarnFn = Callable[[str], None]
-
-
-class HierarchyError(LiboptError):
-    pass
-
-
-@dataclass(frozen=True)
-class ProblemList:
-    names: tuple[str, ...]
-    source: Path | None = None
-
-
-def parse_list(
-    text: str, source: Path | None = None, warn: WarnFn | None = None
-) -> ProblemList:
-    """Parse list-file text; duplicates keep their first occurrence."""
-    names: list[str] = []
-    seen: set[str] = set()
-    for _, line in content_lines(text):
-        for word in line.split():
-            check_name(word, f"list entry in {source or '<list>'}")
-            if word in seen:
-                if warn is not None:
-                    warn(f"duplicate entry {word!r} in {source or '<list>'}")
-                continue
-            seen.add(word)
-            names.append(word)
-    return ProblemList(tuple(names), source)
-
-
-def read_list(path: Path, warn: WarnFn | None = None) -> ProblemList:
-    text = read_text(path, "list file", HierarchyError)
-    return parse_list(text, source=path, warn=warn)
 
 
 def locate_list(
@@ -134,15 +101,14 @@ def generate_indexes(root: Path) -> list[Path]:
     return written
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     severity: str  # "warning" or "error"
     message: str
 
 
-@dataclass
 class Report:
-    findings: list[Finding] = field(default_factory=list)
+    def __init__(self) -> None:
+        self.findings: list[Finding] = []
 
     def error(self, message: str) -> None:
         self.findings.append(Finding("error", message))

@@ -37,14 +37,12 @@ import math
 import operator
 from collections import Counter, defaultdict
 from contextlib import suppress
-from dataclasses import dataclass
 from itertools import accumulate, chain, compress, repeat
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import LiboptError, content_lines
-from .hierarchy import read_list
-from .record import INFO_TOKEN, TokenConfig, check_name, split_solver_field
+from .record import INFO_TOKEN, TokenConfig, check_name, read_list, split_solver_field
 from .store import Store
 
 SPEC_FILENAME = "perfopt.spc"
@@ -75,8 +73,7 @@ class ProfileError(LiboptError):
     """A problem with the selected data or the ratio computation."""
 
 
-@dataclass(frozen=True)
-class ProblemFilter:
+class ProblemFilter(NamedTuple):
     token: str
     relation: str
     threshold: float
@@ -85,8 +82,7 @@ class ProblemFilter:
         return RELATIONS[self.relation](value, self.threshold)
 
 
-@dataclass(frozen=True)
-class ProfileSpec:
+class ProfileSpec(NamedTuple):
     solvers: tuple[str, ...]
     collections: tuple[tuple[str, str | None], ...]
     performance_token: str
@@ -227,8 +223,7 @@ def gather_candidate_problems(
     return ordered
 
 
-@dataclass
-class ResultTable:
+class ResultTable(NamedTuple):
     """Per (problem, solver) token maps for the comparable problems."""
 
     problems: list[ProblemId]
@@ -300,8 +295,7 @@ def _passes(
     return True
 
 
-@dataclass
-class RatioMatrix:
+class RatioMatrix(NamedTuple):
     problems: list[ProblemId]
     solvers: list[str]
     tau: dict[tuple[ProblemId, str], float | None]

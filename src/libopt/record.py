@@ -22,16 +22,19 @@ canonical store entry, the same grammar without blanks, comment or
 sentinel, and with each number spelled as ``format_number`` writes it.
 The record types are plain carriers: the parser vouches for
 their contents.
+
+A list file (``parse_list``, ``read_list``) holds names of the same
+grammar, separated by whitespace, one '#' comment per line.
 """
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from functools import partial
-from typing import Iterable, Iterator, NamedTuple, NoReturn
+from pathlib import Path
+from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn
 
-from .errors import LiboptError
+from .errors import LiboptError, content_lines, read_text
 
 SENTINEL = "libopt"
 INFO_TOKEN = "info"
@@ -76,6 +79,10 @@ ENTRY_RE = re.compile(
 
 class RecordError(LiboptError):
     """A malformed result line, or a record invariant violation."""
+
+
+class HierarchyError(LiboptError):
+    """An unreadable list file, or an unusable hierarchy around it."""
 
 
 def is_name(text: str) -> bool:
@@ -177,8 +184,7 @@ def text_layout(pairs: str) -> tuple[str, ...]:
     return token_layout(tuple(pairs.replace("=", "%").split("%")[1::2]))
 
 
-@dataclass(frozen=True)
-class LiboptRecord:
+class LiboptRecord(NamedTuple):
     """One parsed result: who ran what, plus the measured token values."""
 
     solver: str
@@ -245,8 +251,7 @@ def serialize(record: LiboptRecord) -> str:
     return "%".join(parts)
 
 
-@dataclass(frozen=True)
-class TokenConfig:
+class TokenConfig(NamedTuple):
     """Effective token settings resolved from the startup file."""
 
     valid_tokens: frozenset[str] | None = None
@@ -339,3 +344,31 @@ def iter_result_lines(text: str) -> Iterator[tuple[int, str]]:
 def is_blank(line: str) -> bool:
     """True for a line of whitespace and an optional comment only."""
     return not line.split("#", 1)[0].strip()
+
+
+class ProblemList(NamedTuple):
+    names: tuple[str, ...]
+    source: Path | None = None
+
+
+def parse_list(
+    text: str, source: Path | None = None, warn: Callable[[str], None] | None = None
+) -> ProblemList:
+    """Parse list-file text; duplicates keep their first occurrence."""
+    names: list[str] = []
+    seen: set[str] = set()
+    for _, line in content_lines(text):
+        for word in line.split():
+            check_name(word, f"list entry in {source or '<list>'}")
+            if word in seen:
+                if warn is not None:
+                    warn(f"duplicate entry {word!r} in {source or '<list>'}")
+                continue
+            seen.add(word)
+            names.append(word)
+    return ProblemList(tuple(names), source)
+
+
+def read_list(path: Path, warn: Callable[[str], None] | None = None) -> ProblemList:
+    text = read_text(path, "list file", HierarchyError)
+    return parse_list(text, source=path, warn=warn)

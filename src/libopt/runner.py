@@ -19,9 +19,8 @@ import os
 import shlex
 import subprocess
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, TextIO
+from typing import Callable, Iterable, NamedTuple, TextIO
 
 from .config import ROOT_ENV_VAR
 from .errors import LiboptError
@@ -39,15 +38,13 @@ class RunnerError(LiboptError):
     """A refusal or a hierarchy inconsistency that stops the batch."""
 
 
-@dataclass(frozen=True)
-class RunOptions:
+class RunOptions(NamedTuple):
     keep: bool = False
     test: bool = False
     verbose: bool = False
 
 
-@dataclass(frozen=True)
-class RunDirective:
+class RunDirective(NamedTuple):
     solver: str
     tag: str | None
     collection: str
@@ -55,8 +52,7 @@ class RunDirective:
     explicit_problems: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ElementaryRun:
+class ElementaryRun(NamedTuple):
     solver: str
     tag: str | None
     collection: str
@@ -64,19 +60,16 @@ class ElementaryRun:
     options: RunOptions = RunOptions()
 
 
-@dataclass
 class RunOutcome:
-    status: int
-    records: list[LiboptRecord] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
+    def __init__(self, status: int, warnings: list[str] | None = None):
+        self.status = status
+        self.records: list[LiboptRecord] = []
+        self.warnings = [] if warnings is None else warnings
 
 
-@dataclass
 class BatchSummary:
-    commands: int = 0
-    runs: int = 0
-    skips: int = 0
-    failures: int = 0
+    def __init__(self) -> None:
+        self.commands = self.runs = self.skips = self.failures = 0
 
     def __str__(self) -> str:
         return (
@@ -158,9 +151,22 @@ def execute(
 ) -> RunOutcome:
     """Spawn the driver for one elementary run, streaming its stdout through
     the tag filter. In test mode the command is echoed, never executed."""
+    check_working_dir(working_dir, root)
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
-    check_working_dir(working_dir, root)
+    return _execute(run, working_dir, root, _driver_env(root, env), out, err)
+
+
+def _driver_env(root: Path, env: dict[str, str] | None) -> dict[str, str]:
+    """``env`` (the process's by default) with the resolved root."""
+    return {**(os.environ if env is None else env), ROOT_ENV_VAR: str(Path(root).resolve())}
+
+
+def _execute(
+    run: ElementaryRun, working_dir: Path, root: Path, child_env: dict[str, str],
+    out: TextIO, err: TextIO,
+) -> RunOutcome:
+    """``execute`` after its checks and set-up, which a batch makes once."""
     options = run.options
     driver = driver_path(root, run.solver, run.collection)
     argv = [str(driver)]
@@ -180,8 +186,6 @@ def execute(
     if not os.access(driver, os.X_OK):
         return RunOutcome(126, warnings=[f"driver {driver} is not executable"])
 
-    child_env = dict(os.environ if env is None else env)
-    child_env[ROOT_ENV_VAR] = str(Path(root).resolve())
     outcome = RunOutcome(0)
     try:
         proc = subprocess.Popen(
@@ -226,7 +230,9 @@ def run_batch(
     solver without its all.lst) stops the batch."""
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
+    # the same for every run of the batch: checked and built once
     check_working_dir(working_dir, root)
+    child_env = _driver_env(root, None)
     summary = BatchSummary()
 
     def warn(message: str) -> None:
@@ -256,7 +262,7 @@ def run_batch(
             run = ElementaryRun(
                 directive.solver, directive.tag, directive.collection, problem, options
             )
-            outcome = execute(run, working_dir, root, out=out, err=err)
+            outcome = _execute(run, working_dir, root, child_env, out, err)
             summary.runs += 1
             for message in outcome.warnings:
                 warn(message)

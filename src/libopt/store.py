@@ -27,11 +27,8 @@ are formatted once, so it saves in canonical form. A record inserted by
 """
 from __future__ import annotations
 
-import fcntl
 import os
-import tempfile
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from itertools import chain, compress
 from pathlib import Path
 from typing import Callable, Collection, Iterator, NamedTuple, Sequence
@@ -97,8 +94,7 @@ def _parse_entry(line: str) -> tuple[str, tuple[str, ...], tuple[float, ...]]:
     return f"{solver}%{collection}%{problem}", tokens, values
 
 
-@dataclass(frozen=True)
-class Selection:
+class Selection(NamedTuple):
     """Triple pattern: a None field matches anything."""
 
     solver: str | None = None
@@ -136,19 +132,15 @@ def parse_selection(text: str) -> Selection | Path:
     return Selection(solver, collection, problem)
 
 
-@dataclass
-class DeleteResult:
+class DeleteResult(NamedTuple):
     deleted: int
     missing: int = 0
 
 
-@dataclass
 class ImportReport:
-    added: int = 0
-    replaced: int = 0
-    duplicates: int = 0
-    invalid: int = 0
-    details: list[str] = field(default_factory=list)
+    def __init__(self) -> None:
+        self.added = self.replaced = self.duplicates = self.invalid = 0
+        self.details: list[str] = []
 
 
 class Store:
@@ -189,6 +181,8 @@ class Store:
 
     def save(self) -> None:
         """Atomically rewrite the backing file, entries sorted by key."""
+        import tempfile  # only a save needs it
+
         if self.path is None:
             raise StoreError("store has no backing path")
         entries = self._entries
@@ -342,6 +336,8 @@ class Store:
 @contextmanager
 def locked(path: Path | str):
     """Exclusive advisory lock for a read-modify-write cycle on a store."""
+    import fcntl  # only a locked change needs it
+
     lock_path = Path(f"{path}.lock")
     lock_path.parent.mkdir(parents=True, exist_ok=True)
     fd = os.open(lock_path, os.O_CREAT | os.O_RDWR, 0o644)

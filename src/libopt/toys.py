@@ -12,8 +12,8 @@ import argparse
 import os
 import random
 import sys
-from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 from .hierarchy import generate_indexes
 
@@ -83,15 +83,13 @@ if __name__ == "__main__":
 '''
 
 
-@dataclass(frozen=True)
-class ScriptedResult:
+class ScriptedResult(NamedTuple):
     info: int
     nfc: int
     nga: int
 
 
-@dataclass(frozen=True)
-class ToyProblem:
+class ToyProblem(NamedTuple):
     name: str
     dimension: int
     results: tuple[tuple[str, ScriptedResult], ...]  # (solver, scripted outcome)
@@ -100,8 +98,7 @@ class ToyProblem:
         return dict(self.results)[solver]
 
 
-@dataclass(frozen=True)
-class FixtureSpec:
+class FixtureSpec(NamedTuple):
     root: Path
     problems: tuple[ToyProblem, ...]
     solver_problems: dict[str, tuple[str, ...]]  # solver-side all.lst content
@@ -134,10 +131,10 @@ def _script_problems(seed: int) -> tuple[tuple[ToyProblem, ...], dict[str, tuple
     for i, prob in enumerate(problems):
         if prob.name == failing:
             patched = tuple(
-                (solver, replace(res, info=1) if solver == "fakeb" else res)
+                (solver, res._replace(info=1) if solver == "fakeb" else res)
                 for solver, res in prob.results
             )
-            problems[i] = replace(prob, results=patched)
+            problems[i] = prob._replace(results=patched)
     solver_problems = {"fakea": tuple(PROBLEM_NAMES), "fakeb": fakeb_list}
     return tuple(problems), solver_problems
 

@@ -375,18 +375,9 @@ def test_non_utf8_input_file_exits_two_with_one_line(env, capsys, kind):
     assert err.startswith(f"error: cannot read {kind} ") and name in err
 
 
-@pytest.mark.parametrize(
-    "argv,unused",
-    [
-        (["add", "-r", "r.lbt"], ["libopt.hierarchy", "libopt.profile", "libopt.runner", "subprocess"]),
-        (["profile"], ["libopt.runner", "subprocess"]),
-    ],
-)
-def test_subcommand_imports_only_its_own_stage_modules(env, argv, unused):
-    _, wd = env
-    (wd / "r.lbt").write_text("libopt%a%c%p%nfc=1%info=0\nlibopt%b%c%p%nfc=2%info=0\n")
-    assert main(["add", "r.lbt"]) == 0
-    (wd / "perfopt.spc").write_text("solver a b\nperformance nfc\n")
+def _loaded_modules(wd: Path, argv: list[str], stdin: str = "") -> set[str]:
+    """The modules a `libopt` call loads, in a child started with -S: a
+    site-packages .pth hook can load (or hide) any module before libopt."""
     script = (
         "import sys\n"
         "from libopt.cli import main\n"
@@ -397,14 +388,49 @@ def test_subcommand_imports_only_its_own_stage_modules(env, argv, unused):
     src = str(Path(libopt.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", script, *argv],
+        [sys.executable, "-S", "-c", script, *argv],
         cwd=wd,
         env={**os.environ, "PYTHONPATH": path},
+        input=stdin,
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    loaded = set(done.stdout.split())
+    return set(done.stdout.split())
+
+
+# no call loads dataclasses: with it come inspect, ast, dis and tokenize
+NEVER_LOADED = ["dataclasses", "inspect"]
+
+
+@pytest.mark.parametrize(
+    "argv,unused",
+    [
+        (["add", "-r", "r.lbt"], ["libopt.hierarchy", "libopt.profile", "libopt.runner", "subprocess"]),
+        (["profile"], ["libopt.hierarchy", "libopt.runner", "subprocess"]),
+    ],
+)
+def test_subcommand_imports_only_its_own_stage_modules(env, argv, unused):
+    _, wd = env
+    (wd / "r.lbt").write_text("libopt%a%c%p%nfc=1%info=0\nlibopt%b%c%p%nfc=2%info=0\n")
+    assert main(["add", "r.lbt"]) == 0
+    (wd / "perfopt.spc").write_text("solver a b\nperformance nfc\n")
+    loaded = _loaded_modules(wd, argv)
     assert "libopt.store" in loaded
-    assert loaded.isdisjoint(unused)
+    assert loaded.isdisjoint(unused + NEVER_LOADED)
+
+
+@pytest.mark.parametrize(
+    "argv,used",
+    [
+        (["--version"], []),
+        (["install", "-t"], ["libopt.hierarchy"]),
+        (["run", "-t"], ["libopt.runner"]),
+    ],
+)
+def test_calls_without_a_store_do_not_load_the_store(env, argv, used):
+    _, wd = env
+    loaded = _loaded_modules(wd, argv, stdin="fakea toys\n")
+    assert loaded.issuperset(["libopt.cli", *used])
+    assert loaded.isdisjoint(["libopt.store", *NEVER_LOADED])

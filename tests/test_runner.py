@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from libopt import runner
 from libopt.errors import LiboptError
 from libopt.runner import (
     CommandError,
@@ -186,6 +187,19 @@ def test_execute_refuses_working_dir_inside_root(spy_tree):
         check_working_dir(root, root)
 
 
+def test_execute_inside_the_hierarchy_raises_the_check_s_error(spy_tree):
+    root, _ = spy_tree
+    inside = root / "solvers" / "spysolv"
+    run = ElementaryRun("spysolv", None, "spycoll", "px")
+    with pytest.raises(RunnerError) as raised:
+        execute(run, inside, root, out=io.StringIO(), err=io.StringIO())
+    assert str(raised.value) == (
+        f"working directory {inside.resolve()} is inside the hierarchy"
+        f" {root.resolve()}; refusing to run"
+    )
+    assert not (inside / "spy_argv.txt").exists()
+
+
 def test_execute_warns_when_driver_prints_no_result_line(spy_tree):
     root, wd = spy_tree
     driver = root / "solvers/spysolv/spycoll/spysolv_spycoll"
@@ -296,6 +310,37 @@ def test_run_batch_counts_driver_failures(spy_tree):
         RunOptions(), wd, root, ["spysolv spycoll px"], out=io.StringIO(), err=io.StringIO()
     )
     assert summary.failures == 1
+
+
+def test_run_batch_counts_exit_status_one_as_a_failure(spy_tree):
+    root, wd = spy_tree
+    driver = root / "solvers/spysolv/spycoll/spysolv_spycoll"
+    driver.write_text("#!/bin/sh\necho 'libopt%spysolv%spycoll%px%nfc=1%info=0'\nexit 1\n")
+    os.chmod(driver, 0o755)
+    err = io.StringIO()
+    summary = run_batch(
+        RunOptions(), wd, root, ["spysolv spycoll px"], out=io.StringIO(), err=err
+    )
+    assert (summary.runs, summary.failures) == (1, 1)
+    assert "exited with status 1 on px" in err.getvalue()
+
+
+def test_run_batch_checks_the_working_dir_once(spy_tree, monkeypatch):
+    root, wd = spy_tree
+    (root / "collections/spycoll/all.lst").write_text("px py pz\n")
+    (root / "solvers/spysolv/spycoll/all.lst").write_text("px py pz\n")
+    checked = []
+
+    def counting_check(working_dir, hierarchy_root):
+        checked.append((working_dir, hierarchy_root))
+        check_working_dir(working_dir, hierarchy_root)
+
+    monkeypatch.setattr(runner, "check_working_dir", counting_check)
+    summary = run_batch(
+        RunOptions(), wd, root, ["spysolv spycoll px py pz"], out=io.StringIO(), err=io.StringIO()
+    )
+    assert (summary.runs, summary.failures) == (3, 0)
+    assert checked == [(wd, root)]
 
 
 def test_driver_that_cannot_be_executed_is_a_failed_run(spy_tree):
