@@ -23,8 +23,8 @@ if TYPE_CHECKING:
     from .hierarchy import Report
 
 # Each handler imports its own stage modules, and a module imports what
-# only one of its functions needs inside that function (`tempfile` in
-# `Store.save`): every call pays for each module it loads, and compiles
+# only one of its functions needs inside that function (`fcntl` in
+# `store.locked`): every call pays for each module it loads, and compiles
 # it from source when bytecode caching is off. So `add` loads none of the
 # modules of `run`, `profile` or `install`; `profile` reads list files
 # without `hierarchy`; `--version`, `run` and `install` do not load
@@ -65,11 +65,10 @@ def _optional_root() -> Path | None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    from .runner import RunOptions, check_working_dir, run_batch
+    from .runner import RunOptions, run_batch
 
     root = _require_root()
     working_dir = Path.cwd()
-    check_working_dir(working_dir, root)
     options = RunOptions(keep=args.keep, test=args.test, verbose=args.verbose)
     if args.command_file is not None:
         path = Path(args.command_file)

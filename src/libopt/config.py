@@ -36,7 +36,6 @@ class StartupFile(NamedTuple):
     tokens: tuple[str, ...] | None = None
     performance_tokens: tuple[str, ...] | None = None
     data_base: Path | None = None
-    source_path: Path | None = None
 
 
 def parse_startup(text: str, source_path: Path | None = None) -> StartupFile:
@@ -79,7 +78,6 @@ def parse_startup(text: str, source_path: Path | None = None) -> StartupFile:
         tokens=tokens,
         performance_tokens=performance,
         data_base=seen.get("data_base"),
-        source_path=source_path,
     )
 
 

@@ -22,14 +22,13 @@ finite ratio, and rho_bar. ``compute_profiles`` builds it once and keeps,
 per solver, only its steps: the sorted grid indices where its count of
 problems rises (one Counter over the grid indices of its ratios) and the
 value from each on, so the work per solver is linear in the problems,
-not the grid. A ``StepFunction`` is that one form: built from
-breakpoints, it turns them into steps once, and its ``breakpoints`` are
-derived from the steps when read. For emission, ``_plot_rows`` formats
-the shared grid once into x texts and cuts each profile into constant-y
-segments; a segment's rows are one join over its slice of the x texts,
-so no Python loop runs per grid point. ``write_outputs`` hands the same
-rows to both plot files: ``perf.m`` indents them, ``perf.gnu`` puts a
-jump row between segments.
+not the grid. A ``StepFunction`` is a plain record of that one form;
+its ``breakpoints`` are derived from the steps when read. For emission,
+``_plot_rows`` formats the shared grid once into x texts and cuts each
+profile into constant-y segments; a segment's rows are one join over
+its slice of the x texts, so no Python loop runs per grid point.
+``write_outputs`` hands the same rows to both plot files: ``perf.m``
+indents them, ``perf.gnu`` puts a jump row between segments.
 """
 from __future__ import annotations
 
@@ -63,6 +62,8 @@ WarnFn = Callable[[str], None]
 ProblemId = tuple[str, str]
 # a profile's steps: (grid, grid indices where its value changes, values)
 Steps = tuple[list[float], list[int], list[float]]
+# a profile's (grid point, value there) pairs
+Breakpoints = tuple[tuple[float, float], ...]
 
 
 class SpecError(LiboptError):
@@ -315,7 +316,8 @@ def compute_ratios(
     is 1; failures (and whole all-fail rows) sit at rho_bar. Without an
     override, rho_bar is twice the largest finite ratio, floored at 2. An
     override must exceed every finite ratio (parse_spec has checked that
-    it exceeds 1).
+    it exceeds 1). A ratio or a default rho_bar that overflows to inf
+    raises ProfileError: no plot file could show it.
     """
     if not table.problems:
         raise ProfileError("no eligible problems")
@@ -338,6 +340,11 @@ def compute_ratios(
             best = min(successes.values())
             ratios.update((key, raw / best) for key, raw in successes.items())
     max_finite = max(ratios.values(), default=None)
+    if max_finite is not None and not math.isfinite(max_finite):
+        problem, s = max(ratios, key=ratios.__getitem__)
+        raise ProfileError(
+            f"performance ratio of {s} on {problem[0]}/{problem[1]} is not finite"
+        )
 
     if rho_bar_override is not None:
         if max_finite is not None and rho_bar_override <= max_finite:
@@ -348,60 +355,46 @@ def compute_ratios(
         rho_bar = rho_bar_override
     else:
         rho_bar = max(2.0, 2.0 * max_finite) if max_finite is not None else 2.0
+        if not math.isfinite(rho_bar):
+            raise ProfileError(
+                f"the default plateau, twice the largest ratio"
+                f" {format_ratio(max_finite)}, is not finite: set rho_max"
+                " to a plateau above that ratio"
+            )
 
     rho = {key: ratios.get(key, rho_bar) for key in tau}
     return RatioMatrix(list(table.problems), list(table.solvers), tau, rho, rho_bar)
 
 
-class StepFunction:
+class StepFunction(NamedTuple):
     """One solver's profile: nondecreasing steps over [1, rho_bar].
 
     A profile is its steps: the grid, the sorted grid indices where the
     value changes (the first is 0) and the value from each of them on.
-    The constructor takes ``breakpoints``, each grid point paired with the
-    profile's value there, and keeps their steps; ``breakpoints`` is
-    derived from the steps when read.
+    ``breakpoints``, each grid point paired with the profile's value
+    there, are derived from the steps when read.
     """
 
-    __slots__ = ("solver", "steps", "solve_fraction")
+    solver: str
+    steps: Steps
+    solve_fraction: float
 
-    def __init__(
-        self,
-        solver: str,
-        breakpoints: tuple[tuple[float, float], ...],
-        solve_fraction: float,
-    ):
+    @classmethod
+    def from_breakpoints(
+        cls, solver: str, breakpoints: Breakpoints, solve_fraction: float
+    ) -> StepFunction:
+        """The profile whose value at each grid point is given."""
         grid = list(map(operator.itemgetter(0), breakpoints))
         ys = list(map(operator.itemgetter(1), breakpoints))
         changes = compress(range(1, len(ys)), map(operator.ne, ys, ys[1:]))
         starts = [0, *changes] if ys else []
-        steps = (grid, starts, list(map(ys.__getitem__, starts)))
-        self.solver, self.steps, self.solve_fraction = solver, steps, solve_fraction
-
-    @classmethod
-    def from_steps(cls, solver: str, steps: Steps, solve_fraction: float) -> StepFunction:
-        profile = cls.__new__(cls)
-        profile.solver, profile.steps, profile.solve_fraction = solver, steps, solve_fraction
-        return profile
+        return cls(solver, (grid, starts, [ys[i] for i in starts]), solve_fraction)
 
     @property
-    def breakpoints(self) -> tuple[tuple[float, float], ...]:
+    def breakpoints(self) -> Breakpoints:
         grid, starts, values = self.steps
         lengths = map(operator.sub, [*starts[1:], len(grid)], starts)
         return tuple(zip(grid, chain.from_iterable(map(repeat, values, lengths))))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.solver, self.breakpoints, self.solve_fraction) == (
-            other.solver, other.breakpoints, other.solve_fraction
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"StepFunction({self.solver!r}, {self.breakpoints!r},"
-            f" {self.solve_fraction!r})"
-        )
 
     def value_at(self, t: float) -> float:
         out = 0.0
@@ -433,8 +426,7 @@ def compute_profiles(matrix: RatioMatrix) -> list[StepFunction]:
             starts.insert(0, 0)
             values.insert(0, 0.0)
         solved = count - operator.countOf(map(matrix.tau.__getitem__, keys), None)
-        steps = (grid, starts, values)
-        profiles.append(StepFunction.from_steps(s, steps, solved / count))
+        profiles.append(StepFunction(s, (grid, starts, values), solved / count))
     return profiles
 
 

@@ -11,17 +11,17 @@ of the line. Every line must carry at least two pairs, exactly one of
 which is ``info`` (value 0 means the solver succeeded).
 
 Names match ``[A-Za-z0-9_]+``, a tag is any run of characters other
-than ``%``, ``#`` and whitespace, and numbers are decimal with optional
-sign, point and exponent. ``LINE_RE`` is this whole grammar in one
-compiled pattern, so ``parse_fields`` checks each field once, then what
-a pattern cannot, in ``split_pairs``: the token sequence goes through
-``token_layout`` (at least two pairs, no duplicate token, an ``info``
-pair), and every value must be finite. ``_diagnose`` names the first
-bad field of a line that does not match. ``ENTRY_RE`` matches the
-canonical store entry, the same grammar without blanks, comment or
-sentinel, and with each number spelled as ``format_number`` writes it.
-The record types are plain carriers: the parser vouches for
-their contents.
+than ``%``, ``#`` and whitespace (``TAG_RE`` is that rule alone), and
+numbers are decimal with optional sign, point and exponent. ``LINE_RE``
+is this whole grammar in one compiled pattern, so ``parse_fields``
+checks each field once, then what a pattern cannot, in ``split_pairs``:
+the token sequence goes through ``token_layout`` (at least two pairs,
+no duplicate token, an ``info`` pair), and every value must be finite.
+``_diagnose`` names the first bad field of a line that does not match.
+``ENTRY_RE`` matches the canonical store entry, the same grammar
+without blanks, comment or sentinel, and with each number spelled as
+``format_number`` writes it. The record types are plain carriers: the
+parser vouches for their contents.
 
 A list file (``parse_list``, ``read_list``) holds names of the same
 grammar, separated by whitespace, one '#' comment per line.
@@ -55,14 +55,18 @@ _CANONICAL_NUMBER = (
     r"(?:0(?:\.(?!0000)[0-9]*[1-9])?|[1-9][0-9]*(?:\.[0-9]*[1-9])?)"
 )
 _PAIR = rf"%{_B}{_NAME}{_B}={_B}{_NUMBER}{_B}"
+_SENTINEL_FIELD = rf"{_B}{SENTINEL}{_B}%"
 
 # solver/collection/problem/token names are "words"
 NAME_RE = re.compile(_NAME + r"\Z")
 # optional sign, decimal digits with optional point, optional e/E exponent
 NUMBER_RE = re.compile(_NUMBER + r"\Z")
+TAG_RE = re.compile(_TAG + r"\Z")
+# a line that starts as a result line does, whatever follows
+SENTINEL_RE = re.compile(_SENTINEL_FIELD)
 # groups: solver[.tag], solver, tag, collection, problem, all pairs
 LINE_RE = re.compile(
-    rf"{_B}{SENTINEL}{_B}%{_B}(({_NAME})(?:\.({_TAG}))?){_B}%{_B}({_NAME}){_B}"
+    rf"{_SENTINEL_FIELD}{_B}(({_NAME})(?:\.({_TAG}))?){_B}%{_B}({_NAME}){_B}"
     rf"%{_B}({_NAME}){_B}((?:{_PAIR})*)(?:#[^\n\r]*)?\Z"
 )
 # Over a whole store text (re.M), one match per "\n"-separated line: the
@@ -97,7 +101,7 @@ def check_name(text: str, what: str = "name") -> str:
 
 def check_tag(text: str) -> str:
     """Tags may contain anything except '%', '#', and whitespace."""
-    if not text or any(c in "%#" or c.isspace() for c in text):
+    if not TAG_RE.match(text):
         raise RecordError(f"invalid tag {text!r} (nonempty, no '%', '#', or blanks)")
     return text
 
@@ -131,17 +135,16 @@ def pairs_of(
     return tuple(map(_new_pair, zip(tokens, values)))
 
 
-# every token sequence token_layout has passed, each kept once: entries
-# with the same tokens in the same order share one tuple
-_LAYOUTS: dict[tuple[str, ...], tuple[str, ...]] = {}
+# every token sequence token_layout has passed: a line of a layout seen
+# before is checked with one set lookup
+_LAYOUTS: set[tuple[str, ...]] = set()
 
 
 def token_layout(tokens: tuple[str, ...]) -> tuple[str, ...]:
-    """The shared copy of a line's token sequence; raises RecordError
-    unless it has at least two tokens, no duplicate and an ``info``."""
-    layout = _LAYOUTS.get(tokens)
-    if layout is not None:
-        return layout
+    """A line's token sequence, checked: raises RecordError unless it has
+    at least two tokens, no duplicate and an ``info``."""
+    if tokens in _LAYOUTS:
+        return tokens
     if len(tokens) < 2:
         raise RecordError("a result needs at least two token-number pairs")
     if len(set(tokens)) < len(tokens):
@@ -149,13 +152,13 @@ def token_layout(tokens: tuple[str, ...]) -> tuple[str, ...]:
         raise RecordError(f"duplicate token {dup!r}")
     if INFO_TOKEN not in tokens:
         raise RecordError(f"missing mandatory {INFO_TOKEN!r} pair")
-    _LAYOUTS[tokens] = tokens
+    _LAYOUTS.add(tokens)
     return tokens
 
 
 def split_pairs(text: str) -> tuple[tuple[str, ...], tuple[float, ...]]:
-    """The (shared token layout, values) of the pairs part of a matched
-    line; raises RecordError for a bad layout or a non-finite value."""
+    """The (token layout, values) of the pairs part of a matched line;
+    raises RecordError for a bad layout or a non-finite value."""
     # the matched pairs hold '%' and '=' only as separators: split them apart
     items = text.replace("=", "%").split("%")
     if " " in text or "\t" in text:
@@ -180,7 +183,7 @@ def format_pairs(tokens: tuple[str, ...], values: tuple[float, ...]) -> str:
 
 
 def text_layout(pairs: str) -> tuple[str, ...]:
-    """The shared token layout of canonical pairs text (see token_layout)."""
+    """The checked token layout of canonical pairs text (see token_layout)."""
     return token_layout(tuple(pairs.replace("=", "%").split("%")[1::2]))
 
 
@@ -245,10 +248,11 @@ def parse_line(text: str) -> LiboptRecord:
 
 
 def serialize(record: LiboptRecord) -> str:
-    """Canonical writer: no padding blanks, pairs in stored order."""
-    parts = [SENTINEL, record.solver_with_tag, record.collection, record.problem]
-    parts += [f"{p.token}={format_number(p.value)}" for p in record.pairs]
-    return "%".join(parts)
+    """Canonical writer: no padding blanks, pairs in stored order; raises
+    RecordError for a non-finite value."""
+    tokens = tuple(pair.token for pair in record.pairs)
+    values = tuple(pair.value for pair in record.pairs)
+    return f"{SENTINEL}%{record.key_text()}{format_pairs(tokens, values)}"
 
 
 class TokenConfig(NamedTuple):
@@ -279,24 +283,6 @@ def validate_tokens(
     return errors
 
 
-def _looks_like_result_line(line: str) -> bool:
-    body = line.split("#", 1)[0]
-    head, sep, _ = body.partition("%")
-    return bool(sep) and head.strip(_BLANKS) == SENTINEL
-
-
-def _append_tag(line: str, tag: str) -> str:
-    # textual rewrite of the solver field only, preserving padding and comment
-    body, sep, comment = line.partition("#")
-    fields = body.split("%")
-    solver = fields[1]
-    stripped = solver.strip(_BLANKS)
-    left = solver[: len(solver) - len(solver.lstrip(_BLANKS))]
-    right = solver[len(left) + len(stripped):]
-    fields[1] = f"{left}{stripped}.{tag}{right}"
-    return "%".join(fields) + sep + comment
-
-
 def filter_stream(
     lines: Iterable[str],
     tag: str | None = None,
@@ -317,17 +303,16 @@ def filter_stream(
         try:
             record = parse_line(line)
         except RecordError as exc:
-            if warnings is not None and _looks_like_result_line(line):
+            if warnings is not None and SENTINEL_RE.match(line):
                 warnings.append(f"unparseable result line {line!r}: {exc}")
             yield line
             continue
         if tag is not None:
-            line = _append_tag(line, tag)
-            # the rewritten solver field is solver.old_tag.tag, or solver.tag
+            # ".tag" goes right after solver[.old_tag], before any padding
+            cut = LINE_RE.match(line).end(1)
+            line = f"{line[:cut]}.{tag}{line[cut:]}"
             joined = tag if record.tag is None else f"{record.tag}.{tag}"
-            record = LiboptRecord(
-                record.solver, record.collection, record.problem, record.pairs, joined
-            )
+            record = record._replace(tag=joined)
         if records is not None:
             records.append(record)
         yield line

@@ -13,8 +13,8 @@ read, and ``entries(match, tokens)`` is the one reader: the entries
 whose key ``match`` accepts, with the values of the tokens asked for,
 each from one split of its pairs text. ``query()`` is its sorted view.
 No name holds a '%', so ``key_text.split("%")`` is the key's triple.
-Each read entry's token layout is the one shared tuple of its layout
-(``record.token_layout``), so readers hold one copy per distinct layout.
+Every stored token layout was checked as its entry came in, so
+``entries`` reads it unchecked.
 
 ``Store.open`` reads the whole file with ``record.ENTRY_RE``, which takes
 each line in the canonical form ``save`` writes, numbers included, and
@@ -28,7 +28,7 @@ are formatted once, so it saves in canonical form. A record inserted by
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from itertools import chain, compress
 from pathlib import Path
 from typing import Callable, Collection, Iterator, NamedTuple, Sequence
@@ -181,26 +181,25 @@ class Store:
 
     def save(self) -> None:
         """Atomically rewrite the backing file, entries sorted by key."""
-        import tempfile  # only a save needs it
-
         if self.path is None:
             raise StoreError("store has no backing path")
         entries = self._entries
         text = "".join([f"{k}{entries[k]}\n" for k in sorted(entries)])
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=self.path.parent, prefix=self.path.name, suffix=".tmp"
-        )
+        # a fresh name that O_EXCL keeps from any other writer's file
+        tmp = Path(f"{self.path}.{os.urandom(8).hex()}.tmp")
         try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(text)
-            os.replace(tmp_name, self.path)
-        except BaseException:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o600)
             try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+                with os.fdopen(fd, "w") as handle:
+                    handle.write(text)
+                os.replace(tmp, self.path)
+            except BaseException:
+                with suppress(OSError):
+                    os.unlink(tmp)
+                raise
+        except OSError as exc:
+            raise StoreError(f"cannot save store {self.path}: {exc}") from exc
 
     def add(
         self,
@@ -264,7 +263,7 @@ class Store:
             layout = tuple(items[1::2])
             pick = picks.get(layout)
             if pick is None:
-                pick = picks[layout] = _pick(token_layout(layout), tokens)
+                pick = picks[layout] = _pick(layout, tokens)
             names, mask = pick
             yield key, names, tuple(map(float, compress(items, mask)))
 
@@ -339,8 +338,11 @@ def locked(path: Path | str):
     import fcntl  # only a locked change needs it
 
     lock_path = Path(f"{path}.lock")
-    lock_path.parent.mkdir(parents=True, exist_ok=True)
-    fd = os.open(lock_path, os.O_CREAT | os.O_RDWR, 0o644)
+    try:
+        lock_path.parent.mkdir(parents=True, exist_ok=True)
+        fd = os.open(lock_path, os.O_CREAT | os.O_RDWR, 0o644)
+    except OSError as exc:
+        raise StoreError(f"cannot lock store {path}: {exc}") from exc
     try:
         fcntl.flock(fd, fcntl.LOCK_EX)
         yield

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import gc
 import io
 import os
@@ -273,6 +274,34 @@ def test_profile_checks_the_entries_of_solvers_it_does_not_compare(env, capsys):
     )
     assert not (wd / "perf.gnu").exists()
 
+
+@pytest.mark.parametrize(
+    "b_nfc,flags,message",
+    [
+        # a/b overflows: the ratio itself is inf
+        ("1e-308", ["-v"], "performance ratio of a on c/p1 is not finite"),
+        # a/b is finite, twice it (the default plateau) is not
+        ("1", ["-log"], "the default plateau, twice the largest ratio 1e+308, is not"),
+    ],
+)
+def test_profile_whose_ratios_overflow_exits_two(env, capsys, b_nfc, flags, message):
+    _, wd = env
+    (wd / "dtbopt").write_text(f"a%c%p1%info=0%nfc=1e308\nb%c%p1%info=0%nfc={b_nfc}\n")
+    (wd / "perfopt.spc").write_text("solver a b\nperformance nfc\n")
+    assert main(["profile", *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: {message}")
+    assert not (wd / "perf.gnu").exists() and not (wd / "perf.m").exists()
+
+
+def test_add_to_a_store_below_a_regular_file_exits_two(env, capsys):
+    _, wd = env
+    (wd / "r.lbt").write_text("libopt%a%c%p%info=0%n=1\n")
+    assert main(["add", "-b", "r.lbt/db", "r.lbt"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: cannot lock store r.lbt/db: ")
+
+
 def test_add_requires_a_source(env):
     assert main(["add"]) == 2
 
@@ -407,7 +436,11 @@ NEVER_LOADED = ["dataclasses", "inspect"]
 @pytest.mark.parametrize(
     "argv,unused",
     [
-        (["add", "-r", "r.lbt"], ["libopt.hierarchy", "libopt.profile", "libopt.runner", "subprocess"]),
+        (
+            ["add", "-r", "r.lbt"],
+            ["libopt.hierarchy", "libopt.profile", "libopt.runner", "subprocess",
+             "tempfile", "random"],
+        ),
         (["profile"], ["libopt.hierarchy", "libopt.runner", "subprocess"]),
     ],
 )
@@ -434,3 +467,11 @@ def test_calls_without_a_store_do_not_load_the_store(env, argv, used):
     loaded = _loaded_modules(wd, argv, stdin="fakea toys\n")
     assert loaded.issuperset(["libopt.cli", *used])
     assert loaded.isdisjoint(["libopt.store", *NEVER_LOADED])
+
+
+def test_every_module_parses_as_python_3_10():
+    # pyproject.toml requires Python 3.10: no module may use later syntax
+    paths = sorted(Path(libopt.__file__).resolve().parent.rglob("*.py"))
+    assert paths
+    for path in paths:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

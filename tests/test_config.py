@@ -125,7 +125,6 @@ def test_load_startup_reads_file(tmp_path):
     rc.write_text("tokens = n info\n")
     startup = load_startup(rc)
     assert startup.tokens == ("n", "info")
-    assert startup.source_path == rc
 
 
 def test_shipped_sample_startup_parses():

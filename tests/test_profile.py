@@ -557,13 +557,13 @@ def test_emit_gnuplot_staircase_rows():
 
 
 def test_emit_gnuplot_simple_step():
-    step = StepFunction("s", ((1.0, 0.5), (3.0, 1.0)), 1.0)
+    step = StepFunction.from_breakpoints("s", ((1.0, 0.5), (3.0, 1.0)), 1.0)
     text = emit_gnuplot([step])
     assert "1 0.5\n3 0.5\n3 1\n" in text
 
 
 def test_emit_gnuplot_log_scale():
-    step = StepFunction("s", ((1.0, 0.5), (3.0, 1.0)), 1.0)
+    step = StepFunction.from_breakpoints("s", ((1.0, 0.5), (3.0, 1.0)), 1.0)
     text = emit_gnuplot([step], log_scale=True)
     assert "0 0.5" in text
     assert f"{math.log2(3.0):.6g} 0.5" in text
@@ -571,7 +571,7 @@ def test_emit_gnuplot_log_scale():
 
 
 def test_emit_matlab_of_an_empty_profile_alone_has_no_axis_line():
-    text = emit_matlab([StepFunction("e", (), 0.0)])
+    text = emit_matlab([StepFunction.from_breakpoints("e", (), 0.0)])
     assert "data1 = [\n];\n" in text
     assert "axis" not in text
     assert text.endswith("ylabel('fraction of problems');\n")
@@ -579,9 +579,9 @@ def test_emit_matlab_of_an_empty_profile_alone_has_no_axis_line():
 
 def test_emit_matlab_takes_the_axis_of_the_first_profile_with_points():
     profiles = [
-        StepFunction("e", (), 0.0),
-        StepFunction("s", ((1.0, 0.5), (3.0, 1.0)), 1.0),
-        StepFunction("t", ((1.0, 1.0), (8.0, 1.0)), 1.0),
+        StepFunction.from_breakpoints("e", (), 0.0),
+        StepFunction.from_breakpoints("s", ((1.0, 0.5), (3.0, 1.0)), 1.0),
+        StepFunction.from_breakpoints("t", ((1.0, 1.0), (8.0, 1.0)), 1.0),
     ]
     text = emit_matlab(profiles)
     assert text.endswith("axis([1 3 0 1]);\n")
@@ -633,7 +633,9 @@ def bisect_profiles(matrix):
         ratios = sorted(matrix.rho[(p, s)] for p in matrix.problems)
         breakpoints = tuple((t, bisect_right(ratios, t) / count) for t in grid)
         solved = sum(1 for p in matrix.problems if matrix.tau[(p, s)] is not None)
-        profiles.append(StepFunction(s, breakpoints, solved / count))
+        profiles.append(
+            StepFunction.from_breakpoints(s, breakpoints, solved / count)
+        )
     return profiles
 
 
@@ -742,12 +744,13 @@ def test_emitters_match_per_row_reference(seed, log_scale):
 
 @pytest.mark.parametrize("log_scale", [False, True])
 def test_emitters_match_the_reference_on_hand_built_profiles_of_several_grids(log_scale):
+    profile = StepFunction.from_breakpoints
     profiles = [
-        StepFunction("h1", ((1.0, 0.25), (1.5, 0.25), (2.0, 0.75), (4.0, 0.75)), 0.75),
+        profile("h1", ((1.0, 0.25), (1.5, 0.25), (2.0, 0.75), (4.0, 0.75)), 0.75),
         *compute_profiles(compute_ratios(WORKED, "nfc")),
-        StepFunction("h2", ((1.0, 0.0), (3.0, 0.5), (3.5, 0.5), (6.0, 1.0)), 1.0),
-        StepFunction("empty", (), 0.0),
-        StepFunction("h3", ((1.0, 1.0),), 1.0),
+        profile("h2", ((1.0, 0.0), (3.0, 0.5), (3.5, 0.5), (6.0, 1.0)), 1.0),
+        profile("empty", (), 0.0),
+        profile("h3", ((1.0, 1.0),), 1.0),
     ]
     assert emit_gnuplot(profiles, log_scale) == reference_gnuplot(profiles, log_scale)
     assert emit_matlab(profiles, log_scale) == reference_matlab(profiles, log_scale)

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from libopt.record import (
     LiboptRecord,
-    _append_tag,
     RecordError,
     TokenConfig,
     TokenPair,
@@ -112,6 +113,14 @@ def test_parse_accepts(line, solver, tag, pairs):
 def test_serialize_minimal_record():
     record = LiboptRecord("a", "b", "c", (TokenPair("info", 0.0), TokenPair("x", 1.0)))
     assert serialize(record) == "libopt%a%b%c%info=0%x=1"
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_serialize_rejects_a_non_finite_value(value):
+    # no line could carry the value back: parse_line rejects it
+    record = LiboptRecord("a", "b", "c", (TokenPair("info", 0.0), TokenPair("x", value)))
+    with pytest.raises(RecordError, match="non-finite value for token 'x'"):
+        serialize(record)
 
 
 @pytest.mark.parametrize(
@@ -277,22 +286,32 @@ def test_filter_stream_modifies_iff_line_parses():
     assert out[1:] == lines[1:]
 
 
-@pytest.mark.parametrize(
-    "line",
-    [
-        "libopt%goya%c%p%info=0%t=1",  # untagged
-        "libopt%goya.old%c%p%info=0%t=1",  # already tagged
-        "libopt%goya.a.b%c%p%info=0%t=1",  # tag with a later dot
-        " libopt % goya\t% c % p % n=3 % info=0  ",  # padded
-        "libopt%goya%c%p%info=0%t=1 # comment % with = signs",  # commented
-        "libopt % goya.old % c%p%info=1%t=2.5e3# tight comment",
-    ],
-)
+# each line with its tagged form, TAG standing for the tag: ".TAG" goes
+# right after the solver field, before its padding
+TAGGED = {
+    # untagged
+    "libopt%goya%c%p%info=0%t=1": "libopt%goya.TAG%c%p%info=0%t=1",
+    # already tagged
+    "libopt%goya.old%c%p%info=0%t=1": "libopt%goya.old.TAG%c%p%info=0%t=1",
+    # tag with a later dot
+    "libopt%goya.a.b%c%p%info=0%t=1": "libopt%goya.a.b.TAG%c%p%info=0%t=1",
+    # padded
+    " libopt % goya\t% c % p % n=3 % info=0  ":
+        " libopt % goya.TAG\t% c % p % n=3 % info=0  ",
+    # commented: the comment's '%' and '=' stay as they are
+    "libopt%goya%c%p%info=0%t=1 # comment % with = signs":
+        "libopt%goya.TAG%c%p%info=0%t=1 # comment % with = signs",
+    "libopt % goya.old % c%p%info=1%t=2.5e3# tight comment":
+        "libopt % goya.old.TAG % c%p%info=1%t=2.5e3# tight comment",
+}
+
+
+@pytest.mark.parametrize("line", list(TAGGED))
 @pytest.mark.parametrize("tag", ["v2", "x.y"])
 def test_filter_stream_tagged_record_equals_reparse(line, tag):
     records_out = []
     (out,) = filter_stream([line], tag=tag, records=records_out)
-    assert out == _append_tag(line, tag)
+    assert out == TAGGED[line].replace("TAG", tag)
     assert records_out == [parse_line(out)]
 
 

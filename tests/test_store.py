@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -587,6 +588,30 @@ def test_save_is_atomic_no_leftover_tmp(tmp_path):
     store.save()
     leftovers = [p for p in tmp_path.iterdir() if p.name != "dtbopt"]
     assert leftovers == []
+
+
+def test_save_writes_an_owner_only_file(tmp_path):
+    path = tmp_path / "dtbopt"
+    store = Store(path)
+    store.add(R1)
+    store.save()
+    assert path.stat().st_mode & 0o777 == 0o600
+
+
+@pytest.mark.parametrize("where", ["under a regular file", "at a directory"])
+def test_save_that_fails_is_a_store_error_and_leaves_no_temp_file(tmp_path, where):
+    blocker = tmp_path / "x"
+    if where == "at a directory":
+        blocker.mkdir()
+        path = blocker
+    else:
+        blocker.write_text("")
+        path = blocker / "dtbopt"
+    store = Store(path)
+    store.add(R1)
+    with pytest.raises(StoreError, match=re.escape(f"cannot save store {path}: ")):
+        store.save()
+    assert [p.name for p in tmp_path.iterdir()] == ["x"]
 
 
 def test_locked_serializes_writers(tmp_path):
