@@ -142,7 +142,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
         select,
         write_outputs,
     )
-    from .store import Store
+    from .store import StoreReader
 
     startup = load_startup(args.config)
     working_dir = Path.cwd()
@@ -160,9 +160,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
         warn=_warn,
     )
     candidates = gather_candidate_problems(spec, working_dir, root, warn=_warn)
-    # no name holds the store: its text is freed once select has parsed
-    # the values the table needs
-    table = select(spec, Store.open(store_path), candidates, warn=_warn)
+    # read as it is scanned: only the values the table needs are kept
+    table = select(spec, StoreReader(store_path), candidates, warn=_warn)
     if not table.problems:
         print("no eligible problems for the requested comparison", file=sys.stderr)
         profiles = []

@@ -23,26 +23,28 @@ per solver, only its steps: the sorted grid indices where its count of
 problems rises (one Counter over the grid indices of its ratios) and the
 value from each on, so the work per solver is linear in the problems,
 not the grid. A ``StepFunction`` is a plain record of that one form;
-its ``breakpoints`` are derived from the steps when read. For emission,
-``_plot_rows`` formats the shared grid once into x texts and cuts each
-profile into constant-y segments; a segment's rows are one join over
-its slice of the x texts, so no Python loop runs per grid point.
-``write_outputs`` hands the same rows to both plot files: ``perf.m``
-indents them, ``perf.gnu`` puts a jump row between segments.
+its ``breakpoints`` are derived from the steps when read. One writer,
+``_write_plots``, streams both plot files: it formats the shared grid
+once into x texts, then cuts one profile at a time into constant-y
+segments, each one join over its slice of the x texts (no Python loop
+runs per grid point), and writes them to ``perf.gnu`` and ``perf.m``,
+so only one profile's rows are alive at a time. ``emit_gnuplot`` and
+``emit_matlab`` run the same writer into a string.
 """
 from __future__ import annotations
 
+import io
 import math
 import operator
 from collections import Counter, defaultdict
 from contextlib import suppress
 from itertools import accumulate, chain, compress, repeat
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, TextIO
 
 from .errors import LiboptError, content_lines
 from .record import INFO_TOKEN, TokenConfig, check_name, read_list, split_solver_field
-from .store import Store
+from .store import Store, StoreReader
 
 SPEC_FILENAME = "perfopt.spc"
 DEFAULT_OUTPUT_BASE = "perf"
@@ -234,7 +236,7 @@ class ResultTable(NamedTuple):
 
 def select(
     spec: ProfileSpec,
-    store: Store,
+    store: Store | StoreReader,
     candidates: list[ProblemId] | None = None,
     warn: WarnFn | None = None,
 ) -> ResultTable:
@@ -434,93 +436,65 @@ def compute_profiles(matrix: RatioMatrix) -> list[StepFunction]:
 format_ratio = "{:.6g}".format
 
 
-# a profile's plot rows: the x texts of its grid, then per constant-y
-# segment its rows "x y" joined by newlines, then per segment after the
-# first its jump row: the segment's first x with the previous y
-PlotRows = tuple[list[str], list[str], list[str]]
-
-
-def _plot_rows(profiles: list[StepFunction], log_scale: bool) -> list[PlotRows]:
-    """The plot rows of each profile. Profiles that share one grid share
-    one list of its x texts, formatted once; each segment's rows are one
-    join over its slice of them."""
+def _write_plots(
+    profiles: list[StepFunction], log_scale: bool, gnu: TextIO | None, m: TextIO | None
+) -> None:
+    """Write the Gnuplot data of the profiles to ``gnu`` and their Matlab
+    script to ``m`` (see the module docstring); either may be None."""
+    label = "log2(performance ratio)" if log_scale else "performance ratio"
+    if gnu is not None:
+        gnu.write(f"# performance profile data\n# x: {label}, y: fraction of problems\n")
+    if m is not None:
+        m.write("% performance profile data\n")
+        if not profiles:
+            m.write("error('no eligible problems: nothing to plot');\n")
+            return
     # by id: each grid stays alive with its profiles for the whole call
     x_texts: dict[int, list[str]] = {}
-    out = []
-    for profile in profiles:
+    axis = ""
+    for i, profile in enumerate(profiles, 1):
         grid, starts, values = profile.steps
         xs = x_texts.get(id(grid))
         if xs is None:
             xs = x_texts[id(grid)] = list(
                 map(format_ratio, map(math.log2, grid) if log_scale else grid)
             )
+        if xs and not axis:  # the x range of the first profile with points
+            axis = f"axis([{xs[0]} {xs[-1]} 0 1]);\n"
         ys = [f" {y}" for y in map(format_ratio, values)]
         ends = [*starts[1:], len(grid)]
         segments = [f"{y}\n".join(xs[a:b]) + y for a, b, y in zip(starts, ends, ys)]
-        jumps = [xs[a] + y for a, y in zip(starts[1:], ys)]
-        out.append((xs, segments, jumps))
-    return out
-
-
-def _x_label(log_scale: bool) -> str:
-    return "log2(performance ratio)" if log_scale else "performance ratio"
+        if gnu is not None:
+            # a blank line after the header, two between blocks; a jump row
+            # between segments repeats the previous value, so steps render
+            # as horizontal segments
+            rows = [None] * (2 * len(segments) - 1)
+            rows[::2], rows[1::2] = segments, [xs[a] + y for a, y in zip(starts[1:], ys)]
+            head = "\n" if i == 1 else "\n\n"
+            gnu.writelines([f"{head}# solver {profile.solver}", "\n".join(["", *rows]), "\n"])
+        if m is not None:
+            data = "\n".join(["", *segments]).replace("\n", "\n  ")
+            m.writelines([f"data{i} = [", data, "\n];\n"])
+    if m is not None:
+        names = ", ".join("'" + p.solver.replace("'", "''") + "'" for p in profiles)
+        m.write("figure;\nhold on;\n")
+        m.writelines(f"stairs(data{i}(:,1), data{i}(:,2));\n" for i in range(1, len(profiles) + 1))
+        m.write(f"hold off;\nlegend({names}, 'Location', 'SouthEast');\nxlabel('{label}');\n")
+        m.write(f"ylabel('fraction of problems');\n{axis}")
 
 
 def emit_gnuplot(profiles: list[StepFunction], log_scale: bool = False) -> str:
     """Gnuplot data file: one block per solver, two blank lines between blocks."""
-    return _gnuplot(profiles, log_scale, _plot_rows(profiles, log_scale))
-
-
-def _gnuplot(
-    profiles: list[StepFunction], log_scale: bool, plot_rows: list[PlotRows]
-) -> str:
-    header = [
-        "# performance profile data",
-        f"# x: {_x_label(log_scale)}, y: fraction of problems",
-    ]
-    if not profiles:
-        return "\n".join(header) + "\n"
-    blocks = []
-    for profile, (_, segments, jumps) in zip(profiles, plot_rows):
-        # a jump row between segments repeats the previous value, so steps
-        # render as horizontal segments
-        rows = [None] * (2 * len(segments) - 1)
-        rows[::2], rows[1::2] = segments, jumps
-        blocks.append("\n".join([f"# solver {profile.solver}", *rows]))
-    return "\n".join(header) + "\n\n" + "\n\n\n".join(blocks) + "\n"
+    out = io.StringIO()
+    _write_plots(profiles, log_scale, out, None)
+    return out.getvalue()
 
 
 def emit_matlab(profiles: list[StepFunction], log_scale: bool = False) -> str:
     """Matlab script: one breakpoint matrix per solver plus staircase plots."""
-    return _matlab(profiles, log_scale, _plot_rows(profiles, log_scale))
-
-
-def _matlab(
-    profiles: list[StepFunction], log_scale: bool, plot_rows: list[PlotRows]
-) -> str:
-    lines = ["% performance profile data"]
-    if not profiles:
-        lines.append("error('no eligible problems: nothing to plot');")
-        return "\n".join(lines) + "\n"
-    for i, (_, segments, _) in enumerate(plot_rows, 1):
-        lines.append(f"data{i} = [")
-        if segments:
-            lines.append("  " + "\n".join(segments).replace("\n", "\n  "))
-        lines.append("];")
-    lines.append("figure;")
-    lines.append("hold on;")
-    for i in range(1, len(profiles) + 1):
-        lines.append(f"stairs(data{i}(:,1), data{i}(:,2));")
-    lines.append("hold off;")
-    names = ", ".join("'" + p.solver.replace("'", "''") + "'" for p in profiles)
-    lines.append(f"legend({names}, 'Location', 'SouthEast');")
-    lines.append(f"xlabel('{_x_label(log_scale)}');")
-    lines.append("ylabel('fraction of problems');")
-    # the x range of the first profile that has points, if one has
-    xs = next(filter(None, (xs for xs, _, _ in plot_rows)), None)
-    if xs is not None:
-        lines.append(f"axis([{xs[0]} {xs[-1]} 0 1]);")
-    return "\n".join(lines) + "\n"
+    out = io.StringIO()
+    _write_plots(profiles, log_scale, None, out)
+    return out.getvalue()
 
 
 def write_outputs(
@@ -531,10 +505,9 @@ def write_outputs(
     """Write the <base>.gnu and <base>.m plot-data files."""
     gnu_path = Path(str(base) + ".gnu")
     m_path = Path(str(base) + ".m")
-    plot_rows = _plot_rows(profiles, log_scale)
     try:
-        gnu_path.write_text(_gnuplot(profiles, log_scale, plot_rows))
-        m_path.write_text(_matlab(profiles, log_scale, plot_rows))
+        with open(gnu_path, "w") as gnu, open(m_path, "w") as m:
+            _write_plots(profiles, log_scale, gnu, m)
     except OSError as exc:
         raise ProfileError(f"cannot write plot data: {exc}") from exc
     return gnu_path, m_path

@@ -176,15 +176,8 @@ def check_finite(tokens: tuple[str, ...], values: tuple[float, ...]) -> None:
 
 
 def format_pairs(tokens: tuple[str, ...], values: tuple[float, ...]) -> str:
-    """The canonical pairs text ``%token=number...``; raises RecordError
-    for a non-finite value, which no line could carry back."""
-    check_finite(tokens, values)
+    """The canonical pairs text ``%token=number...`` of finite values."""
     return "".join([f"%{t}={format_number(v)}" for t, v in zip(tokens, values)])
-
-
-def text_layout(pairs: str) -> tuple[str, ...]:
-    """The checked token layout of canonical pairs text (see token_layout)."""
-    return token_layout(tuple(pairs.replace("=", "%").split("%")[1::2]))
 
 
 class LiboptRecord(NamedTuple):
@@ -249,9 +242,11 @@ def parse_line(text: str) -> LiboptRecord:
 
 def serialize(record: LiboptRecord) -> str:
     """Canonical writer: no padding blanks, pairs in stored order; raises
-    RecordError for a non-finite value."""
-    tokens = tuple(pair.token for pair in record.pairs)
+    RecordError for a record no line could carry back, as ``parse_line``
+    would for its line: a bad token layout or a non-finite value."""
+    tokens = token_layout(tuple(pair.token for pair in record.pairs))
     values = tuple(pair.value for pair in record.pairs)
+    check_finite(tokens, values)
     return f"{SENTINEL}%{record.key_text()}{format_pairs(tokens, values)}"
 
 

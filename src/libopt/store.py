@@ -6,32 +6,33 @@ per line (the result line minus the sentinel field), sorted by key, so
 it diffs cleanly and ports anywhere. Writes go through a temp file plus
 rename, and an advisory lock file serializes concurrent writers.
 
-In memory the store is a map from each key text to its canonical pairs
-text ``%token=number...``: the two halves of the line ``save`` writes,
-so ``save`` is a sorted join. Keys and values are parsed only when
-read, and ``entries(match, tokens)`` is the one reader: the entries
-whose key ``match`` accepts, with the values of the tokens asked for,
-each from one split of its pairs text. ``query()`` is its sorted view.
-No name holds a '%', so ``key_text.split("%")`` is the key's triple.
-Every stored token layout was checked as its entry came in, so
-``entries`` reads it unchecked.
+A store file is read by one scan. A line in the canonical form ``save``
+writes, numbers included, costs one ``record.ENTRY_RE`` match and one
+split of its pairs text, whose token layout is checked once per distinct
+layout. Every other line (blank, comment, padded, a number such as
+``1.50`` in another spelling, corrupt) goes through ``parse_fields`` as
+a result line would, so a corrupt store fails on the same line with the
+same message, and its values are formatted canonically once.
 
-``Store.open`` reads the whole file with ``record.ENTRY_RE``, which takes
-each line in the canonical form ``save`` writes, numbers included, and
-keeps its pairs text as matched. Every other line (blank, comment,
-padded, a number such as ``1.50`` or ``1e3`` in another spelling,
-corrupt) goes through ``parse_fields`` as a result line would, so a
-corrupt store fails on the same line with the same message; its values
-are formatted once, so it saves in canonical form. A record inserted by
-``add`` or ``import_file`` is formatted once, on insert.
+The scan has two consumers. ``Store.open`` keeps, per key text, the
+canonical pairs text ``%token=number...``: the two halves of the line
+``save`` writes, so ``save`` is a sorted join. ``StoreReader``, which
+``profile`` reads, keeps only the keys, for the duplicate check. Both
+have the one reader ``entries(match, tokens)``: the entries whose key
+``match`` accepts, with the values of the tokens asked for, from one
+split of the pairs text (for ``StoreReader``, the scan's own), so no
+map of all entries is built to compare solvers. ``query()`` is its
+sorted view. No name holds a '%', so ``key_text.split("%")`` is the
+key's triple. A record that ``add`` or ``import_file`` inserts is
+formatted once, on insert.
 """
 from __future__ import annotations
 
 import os
 from contextlib import contextmanager, suppress
-from itertools import chain, compress
+from itertools import chain, compress, repeat
 from pathlib import Path
-from typing import Callable, Collection, Iterator, NamedTuple, Sequence
+from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import LiboptError, read_text
 from .record import (
@@ -41,6 +42,7 @@ from .record import (
     RecordError,
     TokenConfig,
     TokenPair,
+    check_finite,
     check_name,
     format_pairs,
     is_blank,
@@ -48,7 +50,6 @@ from .record import (
     pairs_of,
     parse_fields,
     split_solver_field,
-    text_layout,
     token_layout,
     validate_tokens,
 )
@@ -78,20 +79,60 @@ class StoreKey(NamedTuple):
         return f"{self.solver_with_tag}%{self.collection}%{self.problem}"
 
 
-def _pick(
-    layout: tuple[str, ...], tokens: Collection[str] | None
-) -> tuple[tuple[str, ...], list[bool]]:
-    """The tokens of a layout that are read (all without ``tokens``), and
-    the mask of their values over the split ``["", t1, v1, t2, v2, ...]``."""
-    read = [tokens is None or t in tokens for t in layout]
-    names = layout if all(read) else tuple(compress(layout, read))
-    return names, [False, *chain.from_iterable((False, r) for r in read)]
-
-
 def _parse_entry(line: str) -> tuple[str, tuple[str, ...], tuple[float, ...]]:
     """(key text, tokens, values) of a result line; raises RecordError."""
     solver, _, _, collection, problem, tokens, values = parse_fields(line)
     return f"{solver}%{collection}%{problem}", tokens, values
+
+
+def _scan(path: Path | str, keys: Collection[str]) -> Iterator[tuple[str, str, list[str]]]:
+    """(key text, pairs text, split items) of each entry of a store file; a
+    missing file has none. A corrupt entry, or a key already in ``keys``
+    (the caller puts each key there), raises StoreError naming the line."""
+    if not Path(path).exists():
+        return
+    text = read_text(path, "store", StoreError)
+    for lineno, match in enumerate(ENTRY_RE.finditer(text), 1):
+        key_text, pairs, line = match.groups()
+        try:
+            if pairs is None:
+                if is_blank(line):
+                    continue
+                key_text, tokens, values = _parse_entry(f"{SENTINEL}%{line}")
+                pairs = format_pairs(tokens, values)
+            # "%t1=v1%t2=v2..." -> ["", t1, v1, t2, v2, ...]
+            items = pairs.replace("=", "%").split("%")
+            token_layout(tuple(items[1::2]))
+        except RecordError as exc:
+            raise StoreError(f"{path}:{lineno}: corrupt entry: {exc}") from exc
+        if key_text in keys:
+            raise StoreError(f"{path}:{lineno}: duplicate key {key_text}")
+        yield key_text, pairs, items
+
+
+def _read(
+    rows: Iterable[tuple[str, str, list[str] | None]],
+    match: Callable[[list[str]], bool],
+    tokens: Collection[str] | None,
+) -> Iterator[tuple[list[str], tuple[str, ...], tuple[float, ...]]]:
+    """``Store.entries`` of rows (key text, pairs text, its split items or
+    None); the tokens read and their mask are worked out once per layout."""
+    picks: dict[tuple[str, ...], tuple[tuple[str, ...], list[bool]]] = {}
+    for key_text, pairs, items in rows:
+        key = key_text.split("%")
+        if not match(key):
+            continue
+        if items is None:
+            items = pairs.replace("=", "%").split("%")
+        layout = tuple(items[1::2])
+        pick = picks.get(layout)
+        if pick is None:
+            read = [tokens is None or t in tokens for t in layout]
+            names = layout if all(read) else tuple(compress(layout, read))
+            mask = [False, *chain.from_iterable((False, r) for r in read)]
+            pick = picks[layout] = names, mask
+        names, mask = pick
+        yield key, names, tuple(map(float, compress(items, mask)))
 
 
 class Selection(NamedTuple):
@@ -158,24 +199,8 @@ class Store:
     def open(cls, path: Path | str) -> Store:
         """Load a store file; a missing file is an empty store."""
         store = cls(Path(path))
-        if not store.path.exists():
-            return store
         entries = store._entries
-        text = read_text(path, "store", StoreError)
-        for lineno, match in enumerate(ENTRY_RE.finditer(text), 1):
-            key_text, pairs, line = match.groups()
-            try:
-                if pairs is not None:
-                    text_layout(pairs)
-                elif is_blank(line):
-                    continue
-                else:
-                    key_text, tokens, values = _parse_entry(f"{SENTINEL}%{line}")
-                    pairs = format_pairs(tokens, values)
-            except RecordError as exc:
-                raise StoreError(f"{path}:{lineno}: corrupt entry: {exc}") from exc
-            if key_text in entries:
-                raise StoreError(f"{path}:{lineno}: duplicate key {key_text}")
+        for key_text, pairs, _ in _scan(path, entries):
             entries[key_text] = pairs
         return store
 
@@ -213,6 +238,10 @@ class Store:
         carry it back."""
         tokens = token_layout(tuple(pair.token for pair in record.pairs))
         values = tuple(pair.value for pair in record.pairs)
+        try:
+            check_finite(tokens, values)
+        except RecordError as exc:
+            raise StoreError(f"{exc} in {record.key_text()}") from exc
         return self._put(record.key_text(), tokens, values, replace, config)
 
     def _put(
@@ -232,11 +261,7 @@ class Store:
             if not replace:
                 raise DuplicateEntryError(f"entry already present: {key_text}")
             outcome = REPLACED
-        try:
-            pairs = format_pairs(tokens, values)
-        except RecordError as exc:
-            raise StoreError(f"{exc} in {key_text}") from exc
-        self._entries[key_text] = pairs
+        self._entries[key_text] = format_pairs(tokens, values)
         return outcome
 
     def entries(
@@ -246,26 +271,12 @@ class Store:
     ) -> Iterator[tuple[list[str], tuple[str, ...], tuple[float, ...]]]:
         """(key, tokens, values) of every entry whose split key text, the
         list [solver[.tag], collection, problem], ``match`` accepts, in no
-        particular order, each from one split of its pairs text.
-
-        Without ``tokens`` every pair is read; with ``tokens``, only the
-        pairs of those tokens (an entry may lack some). Which items of the
-        split to read is worked out once per token layout, and the entries
-        of one layout share one tokens tuple.
-        """
-        picks: dict[tuple[str, ...], tuple[tuple[str, ...], list[bool]]] = {}
-        for key_text, pairs in self._entries.items():
-            key = key_text.split("%")
-            if not match(key):
-                continue
-            # "%t1=v1%t2=v2..." -> ["", t1, v1, t2, v2, ...]
-            items = pairs.replace("=", "%").split("%")
-            layout = tuple(items[1::2])
-            pick = picks.get(layout)
-            if pick is None:
-                pick = picks[layout] = _pick(layout, tokens)
-            names, mask = pick
-            yield key, names, tuple(map(float, compress(items, mask)))
+        particular order, each from one split of its pairs text. Without
+        ``tokens`` every pair is read; with ``tokens``, only the pairs of
+        those tokens (an entry may lack some). The entries of one token
+        layout share one tokens tuple."""
+        entries = self._entries
+        return _read(zip(entries, entries.values(), repeat(None)), match, tokens)
 
     def query(
         self, selection: Selection | None = None
@@ -330,6 +341,27 @@ class Store:
                 else:
                     report.added += 1
         return report
+
+
+class StoreReader(NamedTuple):
+    """A store file whose ``entries`` are read as it is scanned: each entry
+    is checked as ``Store.open`` checks it, and none is kept."""
+
+    path: Path | str
+
+    def entries(
+        self,
+        match: Callable[[list[str]], bool],
+        tokens: Collection[str] | None = None,
+    ) -> Iterator[tuple[list[str], tuple[str, ...], tuple[float, ...]]]:
+        seen: set[str] = set()
+
+        def rows() -> Iterator[tuple[str, str, list[str]]]:
+            for row in _scan(self.path, seen):
+                seen.add(row[0])
+                yield row
+
+        return _read(rows(), match, tokens)
 
 
 @contextmanager

@@ -3,17 +3,29 @@ from __future__ import annotations
 import ast
 import gc
 import io
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import libopt
 from libopt.cli import main
+from libopt.errors import LiboptError
+from libopt.profile import (
+    compute_profiles,
+    compute_ratios,
+    emit_gnuplot,
+    emit_matlab,
+    parse_spec,
+    select,
+)
 from libopt.store import Store
 from libopt.toys import generate_fixture
+from test_store import canonical_stores, spelled_stores, store_like, store_text
 
 
 @pytest.fixture
@@ -273,6 +285,137 @@ def test_profile_checks_the_entries_of_solvers_it_does_not_compare(env, capsys):
         f"error: {wd / 'dtbopt'}:2: corrupt entry: missing mandatory 'info' pair\n"
     )
     assert not (wd / "perf.gnu").exists()
+
+
+def test_profile_builds_no_store(env, monkeypatch, capsys):
+    # profile reads the store file as it scans it: Store.open is never called
+    _, wd = env
+    (wd / "dtbopt").write_text(
+        "a%c%p1%info=0%nfc=1\nb%c%p1%info=0%nfc=2.50\nb%c%p2%info=1%nfc=3\n"
+        "a%c%p2%info=0%nfc=4\nc%c%p1%info=0%nfc=1\n"
+    )
+    (wd / "perfopt.spc").write_text("solver a b\nperformance nfc\n")
+    expected = compute_profiles(compute_ratios(
+        select(parse_spec("solver a b\nperformance nfc\n"), Store.open(wd / "dtbopt")),
+        "nfc",
+    ))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("profile opened a Store")
+
+    monkeypatch.setattr(Store, "open", refuse)
+    assert main(["profile", "-v"]) == 0
+    assert "compared 2 solvers on 2 problems" in capsys.readouterr().err
+    assert (wd / "perf.gnu").read_text() == emit_gnuplot(expected)
+    assert (wd / "perf.m").read_text() == emit_matlab(expected)
+
+
+# positive numbers in several spellings, extremes included: a/b overflows
+# when a is 1e308 and b is 1e-308
+store_numbers = st.integers(1, 99).map(str) | st.sampled_from(
+    ["2.50", "3e2", "0.5", "+7", "007", "\u0663", "1e308", "1e-308"]
+)
+
+
+@st.composite
+def profile_stores(draw):
+    """A store text of the strategies of test_store, or none, with entries
+    of the solvers a, b and c on a few shared problems put in among its
+    lines, and at times one line repeated."""
+    data = draw(
+        st.just(b"") | spelled_stores() | spelled_stores() | canonical_stores
+        | store_like | store_text.map(str.encode)
+    )
+    lines = data.split(b"\n")
+    for solver in draw(st.sampled_from(["ab", "ab", "ab", "abc", "bc"])):
+        problems = st.lists(st.sampled_from(["p1", "p2", "p3"]), min_size=1, unique=True)
+        for problem in draw(problems):
+            info = draw(st.sampled_from(["0", "0", "2"]))
+            entry = f"{solver}%c%{problem}%info={info}%n={draw(store_numbers)}"
+            lines.insert(draw(st.integers(0, len(lines))), entry.encode())
+    if draw(st.sampled_from([False, False, False, False, True])):
+        # a line twice: a duplicate key, if it is an entry
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(lines)))
+    return b"\n".join(lines)
+
+
+@st.composite
+def spec_texts(draw):
+    """A solver line, most often a performance line, and at times one more
+    directive."""
+    lines = [
+        draw(st.sampled_from(
+            ["solver a b", "solver a b", "solver a b c", "solver b a", "solver a"]
+        )),
+        draw(st.sampled_from(["performance n", "performance n", "performance n", ""])),
+    ]
+    lines += draw(st.lists(st.sampled_from(
+        ["rho_max 3", "rho_max 1e300", "problem n >= 1", "problem info = 0", "solver a",
+         "bogus"]
+    ), max_size=1))
+    return "\n".join(lines)
+
+
+def plot_numbers(gnu: str, m: str):
+    """The number tokens of the plot files: the data rows of both, and the
+    axis of perf.m."""
+    for line in gnu.splitlines():
+        if not line.startswith("#"):
+            yield from line.split()
+    for line in m.splitlines():
+        if line.startswith("  "):
+            yield from line.split()
+        elif line.startswith("axis(["):
+            yield from line[len("axis(["):-len("]);")].split()
+
+
+@settings(
+    max_examples=80,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(
+    data=profile_stores(),
+    spec_text=spec_texts(),
+    flags=st.sets(st.sampled_from(["-v", "-log"])),
+    ptok=st.sampled_from([None, None, None, "n", "info", "x"]),
+)
+def test_profile_keeps_the_cli_contract(env, capsys, data, spec_text, flags, ptok):
+    _, wd = env
+    (wd / "rc").write_text("")
+    (wd / "dtbopt").write_bytes(data)
+    (wd / "perfopt.spc").write_text(spec_text)
+    gnu_path, m_path = wd / "perf.gnu", wd / "perf.m"
+    gnu_path.unlink(missing_ok=True)
+    m_path.unlink(missing_ok=True)
+    capsys.readouterr()
+    argv = ["profile", "--config", "rc", "-b", "dtbopt", *sorted(flags)]
+    code = main(argv + (["-p", ptok] if ptok is not None else []))
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error: ")]
+    if code == 2:
+        assert errors == [err.splitlines()[-1]]
+    else:
+        assert errors == []
+    if gnu_path.exists():
+        gnu, m = gnu_path.read_text(), m_path.read_text()
+        assert all(math.isfinite(float(token)) for token in plot_numbers(gnu, m))
+    # the same call in memory, over Store.open
+    try:
+        spec = parse_spec(spec_text, cli_ptok=ptok, cli_log="-log" in flags)
+        table = select(spec, Store.open("dtbopt"))
+        profiles = []
+        if table.problems:
+            matrix = compute_ratios(table, spec.performance_token, spec.rho_bar_override)
+            profiles = compute_profiles(matrix)
+    except LiboptError as exc:
+        assert (code, errors) == (2, [f"error: {exc}"])
+        return
+    assert code == (0 if profiles else 1)
+    assert gnu == emit_gnuplot(profiles, spec.log_scale)
+    assert m == emit_matlab(profiles, spec.log_scale)
 
 
 @pytest.mark.parametrize(

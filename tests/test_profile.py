@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 from bisect import bisect_right
 from itertools import zip_longest
 
@@ -22,6 +23,7 @@ from libopt.profile import (
     gather_candidate_problems,
     parse_spec,
     select,
+    write_outputs,
 )
 from libopt.record import TokenConfig, parse_line
 from libopt.store import Store
@@ -784,3 +786,56 @@ def test_large_random_tables_cover_ties_failures_and_long_segments(seed):
     assert len(profiles[0].steps[0]) > 2000
     starts = [p.steps[1] for p in profiles]
     assert max(b - a for s in starts for a, b in zip(s, s[1:])) > 30
+
+
+# --- the streamed writer ----------------------------------------------------
+
+
+def hand_built_profiles():
+    """Profiles of several grids, the first of them empty."""
+    profile = StepFunction.from_breakpoints
+    return [
+        profile("empty", (), 0.0),
+        profile("h1", ((1.0, 0.25), (1.5, 0.25), (2.0, 0.75), (4.0, 0.75)), 0.75),
+        *compute_profiles(compute_ratios(WORKED, "nfc")),
+        profile("h2", ((1.0, 0.0), (3.0, 0.5), (3.5, 0.5), (6.0, 1.0)), 1.0),
+        profile("it's", ((1.0, 1.0),), 1.0),
+    ]
+
+
+PROFILE_SETS = {
+    "none": list,
+    "hand-built": hand_built_profiles,
+    **{
+        f"random {seed}": lambda seed=seed: compute_profiles(
+            compute_ratios(random_table(seed), "nfc")
+        )
+        for seed in [0, 1, 5, 40]
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROFILE_SETS))
+@pytest.mark.parametrize("log_scale", [False, True])
+def test_write_outputs_writes_the_bytes_of_the_emitters(tmp_path, name, log_scale):
+    profiles = PROFILE_SETS[name]()
+    gnu_path, m_path = write_outputs(profiles, log_scale, tmp_path / "perf")
+    assert (gnu_path, m_path) == (tmp_path / "perf.gnu", tmp_path / "perf.m")
+    assert_same_text(gnu_path.read_text(), emit_gnuplot(profiles, log_scale))
+    assert_same_text(m_path.read_text(), emit_matlab(profiles, log_scale))
+
+
+def test_write_outputs_holds_less_than_it_writes(tmp_path):
+    # the rows of one profile at a time, not whole files: writing both
+    # whole texts would trace more than the bytes written
+    profiles = compute_profiles(compute_ratios(random_table(LARGE_SEEDS[0]), "nfc"))
+    assert len(profiles) == 8
+    tracemalloc.start()
+    try:
+        write_outputs(profiles, True, tmp_path / "perf")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    written = sum(path.stat().st_size for path in tmp_path.iterdir())
+    assert written > 1_000_000
+    assert peak < written

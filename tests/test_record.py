@@ -124,6 +124,26 @@ def test_serialize_rejects_a_non_finite_value(value):
 
 
 @pytest.mark.parametrize(
+    "pairs,message",
+    [
+        ((("n", 1.0),), "a result needs at least two token-number pairs"),
+        ((("info", 0.0), ("n", 1.0), ("n", 2.0)), "duplicate token 'n'"),
+        ((("n", 1.0), ("m", 2.0)), "missing mandatory 'info' pair"),
+    ],
+    ids=["one pair", "duplicate token", "no info"],
+)
+def test_serialize_rejects_a_token_layout_parse_line_rejects(pairs, message):
+    # the line serialize would write is one parse_line rejects, so no line
+    # could carry the record back
+    record = LiboptRecord("a", "c", "p", tuple(TokenPair(t, v) for t, v in pairs))
+    line = "libopt%a%c%p" + "".join(f"%{t}={format_number(v)}" for t, v in pairs)
+    with pytest.raises(RecordError, match=message):
+        parse_line(line)
+    with pytest.raises(RecordError, match=message):
+        serialize(record)
+
+
+@pytest.mark.parametrize(
     "value,text",
     [(1875.0, "1875"), (0.5, "0.5"), (-3.0, "-3"), (1e20, "1e+20"), (2.5e-10, "2.5e-10")],
 )

@@ -24,6 +24,7 @@ from libopt.store import (
     Store,
     StoreError,
     StoreKey,
+    StoreReader,
     locked,
     parse_selection,
 )
@@ -41,6 +42,7 @@ R3 = rec("libopt%a%d%p1%info=1%n=3")
 def test_open_missing_file_is_empty_store(tmp_path):
     store = Store.open(tmp_path / "dtbopt")
     assert len(store) == 0
+    assert list(StoreReader(tmp_path / "dtbopt").entries(lambda key: True)) == []
 
 
 def test_persistence_round_trip(tmp_path):
@@ -136,12 +138,21 @@ def reference_open(path: Path):
     return [entries[key_text] for key_text in sorted(entries)]
 
 
+def every_entry(store: Store | StoreReader):
+    return sorted(store.entries(lambda key: True), key=lambda entry: entry[0])
+
+
 def opened(path: Path):
-    """What Store.open makes of a file, in reference_open's terms."""
+    """What Store.open makes of a file, in reference_open's terms; a
+    StoreReader of the file must read the same entries, or fail alike."""
     try:
         store = Store.open(path)
     except StoreError as exc:
+        with pytest.raises(StoreError) as err:
+            every_entry(StoreReader(path))
+        assert str(err.value) == str(exc)
         return str(exc)
+    assert every_entry(StoreReader(path)) == every_entry(store)
     return [
         (key, tuple((token, repr(value)) for token, value in pairs))
         for key, pairs in store.query()
