@@ -162,18 +162,18 @@ def cmd_profile(args: argparse.Namespace) -> int:
     candidates = gather_candidate_problems(spec, working_dir, root, warn=_warn)
     # read as it is scanned: only the values the table needs are kept
     table = select(spec, StoreReader(store_path), candidates, warn=_warn)
-    if not table.problems:
+    solvers, problems = len(table.solvers), len(table.problems)
+    if not problems:
         print("no eligible problems for the requested comparison", file=sys.stderr)
         profiles = []
     else:
         matrix = compute_ratios(table, spec.performance_token, spec.rho_bar_override)
-        profiles = compute_profiles(matrix)
+        # neither the table nor the matrix is alive while the files are written
+        del table
+        profiles, rho_bar = compute_profiles(matrix), matrix.rho_bar
+        del matrix
         if args.verbose:
-            print(
-                f"compared {len(table.solvers)} solvers on {len(table.problems)}"
-                f" problems, plateau at {matrix.rho_bar:g}",
-                file=sys.stderr,
-            )
+            print(f"compared {solvers} solvers on {problems} problems, plateau at {rho_bar:g}", file=sys.stderr)
     base = working_dir / spec.output_base
     if args.test:
         print(f"test mode: would write {base}.gnu and {base}.m", file=sys.stderr)

@@ -17,33 +17,34 @@ is the nondecreasing step function
 whose value at 1 is the fraction of problems where s is best, and whose
 value just below rho_bar is the fraction of problems s solves at all.
 
-All profiles of one comparison live on one grid: 1, every distinct
-finite ratio, and rho_bar. ``compute_profiles`` builds it once and keeps,
-per solver, only its steps: the sorted grid indices where its count of
-problems rises (one Counter over the grid indices of its ratios) and the
-value from each on, so the work per solver is linear in the problems,
-not the grid. A ``StepFunction`` is a plain record of that one form;
-its ``breakpoints`` are derived from the steps when read. One writer,
-``_write_plots``, streams both plot files: it formats the shared grid
-once into x texts, then cuts one profile at a time into constant-y
-segments, each one join over its slice of the x texts (no Python loop
-runs per grid point), and writes them to ``perf.gnu`` and ``perf.m``,
-so only one profile's rows are alive at a time. ``emit_gnuplot`` and
-``emit_matlab`` run the same writer into a string.
+The data is held in columns. ``select`` keeps, per solver, one slot per
+comparable problem: the tuple of the values of ``info``, the performance
+token and the filter tokens, None for one absent. ``compute_ratios``
+keeps tau and rho as one list per solver, in problem order. A
+``ColumnView`` reads either as a mapping keyed by (problem, solver),
+equal to the dict it stands for. All profiles share one grid: 1, every
+distinct finite ratio, and rho_bar. A ``StepFunction`` keeps only its
+steps: the sorted grid indices where its count of problems rises (one
+Counter per column of ratios) and the value from each on. One writer,
+``_write_plots``, streams both plot files: it formats the grid once into
+x texts, then cuts one profile at a time into constant-y segments, each
+one join over its slice of the x texts, so only one profile's rows are
+alive at a time. ``emit_gnuplot`` and ``emit_matlab`` run it into a string.
 """
 from __future__ import annotations
 
 import io
 import math
 import operator
-from collections import Counter, defaultdict
+from collections import Counter
+from collections.abc import Mapping
 from contextlib import suppress
-from itertools import accumulate, chain, compress, repeat
+from itertools import accumulate, chain, compress, product, repeat
 from pathlib import Path
 from typing import Callable, NamedTuple, TextIO
 
 from .errors import LiboptError, content_lines
-from .record import INFO_TOKEN, TokenConfig, check_name, read_list, split_solver_field
+from .record import INFO_TOKEN, TokenConfig, check_name, read_list, split_collection_field, split_solver_field
 from .store import Store, StoreReader
 
 SPEC_FILENAME = "perfopt.spc"
@@ -132,9 +133,7 @@ def parse_spec(
             if not args:
                 raise SpecError(f"{where}: collection directive needs at least one name")
             for field in args:
-                coll, sep, subc = field.partition(".")
-                check_name(coll, "collection")
-                pair = (coll, check_name(subc, "subcollection") if sep else None)
+                pair = split_collection_field(field)
                 if pair in collections:
                     if warn is not None:
                         warn(f"{where}: collection {field!r} listed twice")
@@ -226,12 +225,39 @@ def gather_candidate_problems(
     return ordered
 
 
+class ColumnView(Mapping):
+    """A read-only map (problem, solver) -> cell over one column of cells
+    per solver, each in problem order; it iterates problem-major. With
+    ``tokens``, a cell is a slot, the values of those tokens in order
+    (None for one absent), read as the dict of the tokens present."""
+
+    def __init__(self, problems, solvers, columns, tokens=None):
+        self.problems, self.solvers, self.columns, self.tokens = problems, solvers, columns, tokens
+        self._at: dict[ProblemId, int] | None = None  # built on the first read
+
+    def __getitem__(self, key):
+        if self._at is None:
+            self._at = dict(zip(self.problems, range(len(self.problems))))
+        try:
+            problem, solver = key
+            cell = self.columns[self.solvers.index(solver)][self._at[problem]]
+        except (KeyError, ValueError):
+            raise KeyError(key) from None
+        return cell if self.tokens is None else {t: v for t, v in zip(self.tokens, cell) if v is not None}
+
+    def __iter__(self):
+        return product(self.problems, self.solvers)
+
+    def __len__(self) -> int:
+        return len(self.problems) * len(self.solvers)
+
+
 class ResultTable(NamedTuple):
     """Per (problem, solver) token maps for the comparable problems."""
 
     problems: list[ProblemId]
     solvers: list[str]
-    values: dict[tuple[ProblemId, str], dict[str, float]]
+    values: Mapping[tuple[ProblemId, str], dict[str, float]]
 
 
 def select(
@@ -251,46 +277,47 @@ def select(
     the first solver's gives one disagreement warning.
 
     Only ``info``, the performance token and the filter tokens are read
-    from the store, and only those are in the table's values.
+    from the store, and only those are in the table's values: its
+    ``values`` is a ``ColumnView`` of slots of those tokens.
     """
     solvers, ptok = spec.solvers, spec.performance_token
-    needed = {INFO_TOKEN, ptok, *(f.token for f in spec.problem_filters)}
-    wanted = frozenset(solvers)
-    rows: defaultdict[ProblemId, dict[str, dict[str, float]]] = defaultdict(dict)
-    for (solver, collection, problem), tokens, values in store.entries(
-        lambda key: key[0] in wanted, needed
-    ):
-        rows[collection, problem][solver] = dict(zip(tokens, values))
-    table = ResultTable([], list(solvers), {})
+    # a slot's order: info, the performance token, each filter's token
+    tokens = (INFO_TOKEN, ptok, *(f.token for f in spec.problem_filters))
+    column = dict(zip(solvers, range(len(solvers))))
+    picks: dict[tuple[str, ...], Callable[[tuple], tuple]] = {}
+    rows: dict[ProblemId, list[tuple | None]] = {}
+    for (solver, collection, problem), names, values in store.entries(lambda k: k[0] in column, tokens):
+        pick = picks.get(names)
+        if pick is None:
+            # an absent token reads the None put after the values
+            at = [names.index(t) if t in names else len(names) for t in tokens]
+            pick = picks[names] = operator.itemgetter(*at)
+        row = rows.get((collection, problem))
+        if row is None:
+            row = rows[collection, problem] = [None] * len(solvers)
+        row[column[solver]] = pick((*values, None))
+    problems, kept = [], []
     for problem in sorted(rows) if candidates is None else candidates:
-        # a row holds the selected solvers only: it is whole at their count
-        row = rows.get(problem, {})
-        if len(row) < len(solvers):
-            continue
-        if not all(map(operator.contains, row.values(), repeat(ptok))):
+        # a row is whole with a slot per solver, each with the performance token
+        row = rows.get(problem)
+        if row is None or None in row or None in map(operator.itemgetter(1), row):
             continue
         if _passes(spec, problem, row, warn):
-            table.problems.append(problem)
-            keys = zip(repeat(problem), solvers)
-            table.values.update(zip(keys, map(row.__getitem__, solvers)))
-    return table
+            problems.append(problem)
+            kept.append(row)
+    values = ColumnView(problems, solvers, list(zip(*kept)), tokens)
+    return ResultTable(problems, list(solvers), values)
 
 
-def _passes(
-    spec: ProfileSpec,
-    problem: ProblemId,
-    row: dict[str, dict[str, float]],
-    warn: WarnFn | None,
-) -> bool:
-    """Whether a problem's row passes every filter; warns as ``select`` says."""
-    first = row[spec.solvers[0]]
-    for filt in spec.problem_filters:
-        value = first.get(filt.token)
+def _passes(spec: ProfileSpec, problem: ProblemId, row: list[tuple], warn: WarnFn | None) -> bool:
+    """Whether a problem's row of slots passes every filter; warns as ``select`` says."""
+    first, others = row[0], row[1:]
+    for at, filt in enumerate(spec.problem_filters, 2):
+        value = first[at]
         if value is None or not filt.accepts(value):
             return False
-        for other in spec.solvers[1:]:
-            other_value = row[other].get(filt.token)
-            if other_value is not None and other_value != value and warn is not None:
+        for slot in others:
+            if slot[at] is not None and slot[at] != value and warn is not None:
                 warn(
                     f"token {filt.token!r} disagrees across solvers on"
                     f" {problem[0]}/{problem[1]}"
@@ -299,10 +326,12 @@ def _passes(
 
 
 class RatioMatrix(NamedTuple):
+    """tau and rho of each (problem, solver): one column per solver."""
+
     problems: list[ProblemId]
     solvers: list[str]
-    tau: dict[tuple[ProblemId, str], float | None]
-    rho: dict[tuple[ProblemId, str], float]
+    tau: ColumnView
+    rho: ColumnView
     rho_bar: float
 
 
@@ -323,27 +352,32 @@ def compute_ratios(
     """
     if not table.problems:
         raise ProfileError("no eligible problems")
-    tau: dict[tuple[ProblemId, str], float | None] = {}
-    ratios: dict[tuple[ProblemId, str], float] = {}
-    for problem in table.problems:
-        successes = {}
-        for s in table.solvers:
-            values = table.values[(problem, s)]
-            raw = tau[(problem, s)] = values[ptok] if values[INFO_TOKEN] == 0.0 else None
-            if raw is None:
-                continue
-            if raw <= 0.0:
-                raise ProfileError(
-                    f"nonpositive performance value {format_ratio(raw)} for {s}"
-                    f" on {problem[0]}/{problem[1]}"
-                )
-            successes[(problem, s)] = raw
-        if successes:
-            best = min(successes.values())
-            ratios.update((key, raw / best) for key, raw in successes.items())
-    max_finite = max(ratios.values(), default=None)
+    problems, solvers, values = list(table.problems), list(table.solvers), table.values
+    # per problem: its row of tau, its best tau and, with a success, its largest ratio
+    tau_rows, bests, tops = [], [], []
+    for problem in problems:
+        cells = map(values.__getitem__, zip(repeat(problem), solvers))
+        row = [v[ptok] if v[INFO_TOKEN] == 0.0 else None for v in cells]
+        successes = [t for t in row if t is not None]
+        best = min(successes, default=None)
+        tau_rows.append(row)
+        bests.append(best)
+        if best is None:
+            continue
+        if best <= 0.0:
+            raw, s = next((t, s) for t, s in zip(row, solvers) if t is not None and t <= 0.0)
+            raise ProfileError(
+                f"nonpositive performance value {format_ratio(raw)} for {s}"
+                f" on {problem[0]}/{problem[1]}"
+            )
+        # division by best is monotone: the largest tau gives the largest ratio
+        tops.append(max(successes) / best)
+    max_finite = max(tops, default=None)
     if max_finite is not None and not math.isfinite(max_finite):
-        problem, s = max(ratios, key=ratios.__getitem__)
+        problem, s = next(
+            (p, s) for p, row, best in zip(problems, tau_rows, bests) if best is not None
+            for s, t in zip(solvers, row) if t is not None and math.isinf(t / best)
+        )
         raise ProfileError(
             f"performance ratio of {s} on {problem[0]}/{problem[1]} is not finite"
         )
@@ -364,8 +398,10 @@ def compute_ratios(
                 " to a plateau above that ratio"
             )
 
-    rho = {key: ratios.get(key, rho_bar) for key in tau}
-    return RatioMatrix(list(table.problems), list(table.solvers), tau, rho, rho_bar)
+    tau = list(zip(*tau_rows))
+    rho = [[rho_bar if t is None else t / b for t, b in zip(col, bests)] for col in tau]
+    tau_view, rho_view = ColumnView(problems, solvers, tau), ColumnView(problems, solvers, rho)
+    return RatioMatrix(problems, solvers, tau_view, rho_view, rho_bar)
 
 
 class StepFunction(NamedTuple):
@@ -411,23 +447,23 @@ def compute_profiles(matrix: RatioMatrix) -> list[StepFunction]:
 
     Every ratio is a grid value, so a solver's value at grid point i is
     its count of ratios at points 0..i over the problem count: it steps
-    at the grid indices of its ratios, found with one Counter.
+    at the grid points of its ratios, found with one Counter per column.
     """
-    problems, rho, rho_bar = matrix.problems, matrix.rho, matrix.rho_bar
-    count = len(problems)
-    grid = sorted({1.0, *(r for r in rho.values() if r < rho_bar)})
+    count, rho_bar = len(matrix.problems), matrix.rho_bar
+    # every finite ratio lies below rho_bar, which marks the failures
+    grid = sorted({1.0, *chain.from_iterable(matrix.rho.columns)} - {rho_bar})
     grid.append(rho_bar)
     index = dict(zip(grid, range(len(grid))))
     profiles = []
-    for s in matrix.solvers:
-        keys = list(zip(problems, repeat(s)))
-        hits = Counter(map(index.__getitem__, map(rho.__getitem__, keys)))
-        starts = sorted(hits)
-        values = [n / count for n in accumulate(map(hits.__getitem__, starts))]
+    for s, rho, tau in zip(matrix.solvers, matrix.rho.columns, matrix.tau.columns):
+        hits = Counter(rho)
+        ratios = sorted(hits)
+        starts = list(map(index.__getitem__, ratios))
+        values = [n / count for n in accumulate(map(hits.__getitem__, ratios))]
         if starts[0] != 0:
             starts.insert(0, 0)
             values.insert(0, 0.0)
-        solved = count - operator.countOf(map(matrix.tau.__getitem__, keys), None)
+        solved = count - operator.countOf(tau, None)
         profiles.append(StepFunction(s, (grid, starts, values), solved / count))
     return profiles
 

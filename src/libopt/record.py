@@ -114,6 +114,12 @@ def split_solver_field(text: str) -> tuple[str, str | None]:
     return check_name(name, "solver"), None
 
 
+def split_collection_field(text: str) -> tuple[str, str | None]:
+    """Split ``coll[.subc]`` at the first dot; both parts are names."""
+    coll, sep, subc = text.partition(".")
+    return check_name(coll, "collection"), check_name(subc, "subcollection") if sep else None
+
+
 def format_number(value: float) -> str:
     """Shortest decimal text that parses back to exactly the same float."""
     return repr(value).removesuffix(".0")

@@ -25,7 +25,7 @@ from typing import Callable, Iterable, NamedTuple, TextIO
 from .config import ROOT_ENV_VAR
 from .errors import LiboptError
 from .hierarchy import ALL_LIST, SOLVERS_DIR, ProblemList, locate_list, read_list
-from .record import LiboptRecord, check_name, filter_stream, split_solver_field
+from .record import LiboptRecord, check_name, filter_stream, split_collection_field, split_solver_field
 
 WarnFn = Callable[[str], None]
 
@@ -84,9 +84,7 @@ def parse_command(line: str, warn: WarnFn | None = None) -> RunDirective:
     if len(fields) < 2:
         raise CommandError(f"command {line!r} needs a solver and a collection")
     solver, tag = split_solver_field(fields[0])
-    coll_field, sep, subc = fields[1].partition(".")
-    collection = check_name(coll_field, "collection")
-    subcollection = check_name(subc, "subcollection") if sep else None
+    collection, subcollection = split_collection_field(fields[1])
     problems: list[str] = []
     for name in fields[2:]:
         check_name(name, "problem")

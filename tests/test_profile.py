@@ -26,7 +26,7 @@ from libopt.profile import (
     write_outputs,
 )
 from libopt.record import TokenConfig, parse_line
-from libopt.store import Store
+from libopt.store import Store, StoreReader
 
 
 def table(solvers, rows, extra_tokens=None):
@@ -392,6 +392,84 @@ def test_select_reads_only_the_needed_tokens_whatever_their_layout():
         assert 0 < len(got.problems) < 50
         assert got == want
         assert got_warnings == want_warnings != []
+
+
+@pytest.mark.parametrize("reader", [Store.open, StoreReader])
+def test_select_values_are_the_dicts_of_the_needed_tokens(tmp_path, reader):
+    # entries carry tokens the spec never names and lack some it needs;
+    # each value reads as the dict of the needed tokens the entry holds
+    rng = random.Random(11)
+    needed = {"info", "nfc", "n", "m"}
+    lines = []
+    for p in range(40):
+        for solver in ("a", "b.v2", "c"):
+            tokens = ["info", "nfc", "x", "y"]
+            # the first solver carries both filter tokens, the others not always
+            tokens += [t for t in ("n", "m") if solver == "a" or rng.random() < 0.7]
+            rng.shuffle(tokens)
+            pairs = "".join(f"%{t}={rng.randint(0 if t == 'info' else 1, 9)}" for t in tokens)
+            lines.append(f"{solver}%c%p{p:02d}{pairs}")
+    (tmp_path / "dtbopt").write_text("".join(line + "\n" for line in sorted(lines)))
+    spec = parse_spec("solver a b.v2 c\nperformance nfc\nproblem n <= 8\nproblem m >= 1\n")
+    result = select(spec, reader(tmp_path / "dtbopt"))
+    assert 10 < len(result.problems) < 40
+    for line in lines:
+        record = parse_line("libopt%" + line)
+        key = ((record.collection, record.problem), record.solver_with_tag)
+        if key[0] in result.problems:
+            want = {pair.token: pair.value for pair in record.pairs if pair.token in needed}
+            assert result.values[key] == want
+    assert any(len(v) < len(needed) for v in result.values.values())
+
+
+def column_views():
+    """The views of a selected table and of its ratio matrix."""
+    store = store_with(
+        [
+            "libopt%a%c%p1%nfc=2%info=0%n=5",
+            "libopt%a%c%p2%nfc=4%info=0%n=5",
+            "libopt%a%c%p3%nfc=1%info=1%n=5",
+            "libopt%b%c%p1%nfc=1%info=0",
+            "libopt%b%c%p2%nfc=8%info=0%n=6",
+            "libopt%b%c%p3%nfc=3%info=0%x=1",
+        ]
+    )
+    table = select(parse_spec("solver a b\nperformance nfc\nproblem n > 1\n"), store)
+    matrix = compute_ratios(table, "nfc")
+    return {"values": table.values, "tau": matrix.tau, "rho": matrix.rho}
+
+
+@pytest.mark.parametrize("name", ["values", "tau", "rho"])
+def test_column_views_read_as_dicts(name):
+    view = column_views()[name]
+    as_dict = dict(view)
+    assert view == as_dict and as_dict == view
+    assert not view != as_dict and not as_dict != view
+    keys = [(("c", p), s) for p in ("p1", "p2", "p3") for s in ("a", "b")]
+    assert len(view) == 6
+    assert list(view) == list(view.keys()) == list(as_dict) == keys
+    assert list(view.values()) == [view[key] for key in keys]
+    assert list(view.items()) == list(zip(keys, view.values()))
+    for missing in ((("c", "p4"), "a"), (("c", "p1"), "z"), (("d", "p1"), "b")):
+        with pytest.raises(KeyError) as err:
+            view[missing]
+        assert err.value.args == (missing,)
+        assert missing not in view and view.get(missing) is None
+    changed = {**as_dict, keys[0]: {"info": 9.0} if name == "values" else 9.0}
+    assert view != changed and changed != view
+
+
+def test_column_views_hold_the_values_of_the_table_and_matrix():
+    views = column_views()
+    p1, p3 = ("c", "p1"), ("c", "p3")
+    assert views["values"][(p1, "a")] == {"info": 0.0, "nfc": 2.0, "n": 5.0}
+    assert views["values"][(p1, "b")] == {"info": 0.0, "nfc": 1.0}
+    assert views["tau"][(p3, "a")] is None and views["tau"][(p3, "b")] == 3.0
+    assert views["rho"] == {
+        (p1, "a"): 2.0, (p1, "b"): 1.0,
+        (("c", "p2"), "a"): 1.0, (("c", "p2"), "b"): 2.0,
+        (p3, "a"): 4.0, (p3, "b"): 1.0,
+    }
 
 
 # --- ratios and profiles ----------------------------------------------------
@@ -839,3 +917,31 @@ def test_write_outputs_holds_less_than_it_writes(tmp_path):
     written = sum(path.stat().st_size for path in tmp_path.iterdir())
     assert written > 1_000_000
     assert peak < written
+
+
+# --- the columnar core ------------------------------------------------------
+
+
+def test_the_profile_core_holds_little_per_stored_entry(tmp_path):
+    # 8 solvers x 2,000 problems read from a store file: the table keeps one
+    # slot of the needed values per entry and the matrix one column per
+    # solver, not a dict per entry and dicts keyed by (problem, solver)
+    rng = random.Random(3)
+    solvers = [f"s{i}" for i in range(8)]
+    lines = [
+        f"{s}%c%p{p:04d}%nfc={rng.randint(1, 5000)}%info={int(rng.random() < 0.1)}\n"
+        for s in solvers
+        for p in range(2000)
+    ]
+    path = tmp_path / "dtbopt"
+    path.write_text("".join(lines))
+    spec = parse_spec(f"solver {' '.join(solvers)}\nperformance nfc\n")
+    tracemalloc.start()
+    try:
+        profiles = compute_profiles(compute_ratios(select(spec, StoreReader(path)), "nfc"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(profiles) == 8
+    # slots trace about 270 B per entry here, a dict per entry about 600 B
+    assert peak / len(lines) < 350

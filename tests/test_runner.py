@@ -8,6 +8,7 @@ import pytest
 
 from libopt import runner
 from libopt.errors import LiboptError
+from libopt.profile import parse_spec
 from libopt.runner import (
     CommandError,
     ElementaryRun,
@@ -43,6 +44,27 @@ def test_parse_command_bad_names():
         parse_command("so!lv coll")
     with pytest.raises(LiboptError):
         parse_command("solv coll pro-b")
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ("cu-ter.unc", "invalid collection 'cu-ter' (must match [A-Za-z0-9_]+)"),
+        ("cuter.u-nc", "invalid subcollection 'u-nc' (must match [A-Za-z0-9_]+)"),
+        ("cuter.", "invalid subcollection '' (must match [A-Za-z0-9_]+)"),
+        ("cuter.unc.x", "invalid subcollection 'unc.x' (must match [A-Za-z0-9_]+)"),
+    ],
+)
+def test_a_command_and_a_spec_read_a_collection_field_alike(field, message):
+    with pytest.raises(LiboptError) as in_command:
+        parse_command(f"solv {field}")
+    with pytest.raises(LiboptError) as in_spec:
+        parse_spec(f"solver a b\nperformance nfc\ncollection {field}\n")
+    assert str(in_command.value) == str(in_spec.value) == message
+    assert parse_command("solv cuter.unc").subc == "unc"
+    assert parse_spec("solver a b\nperformance nfc\ncollection cuter.unc\n").collections == (
+        ("cuter", "unc"),
+    )
 
 
 def test_parse_command_deduplicates_explicit_problems():
