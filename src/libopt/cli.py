@@ -13,14 +13,10 @@ import os
 import sys
 from contextlib import nullcontext
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from . import __version__
 from .config import ROOT_ENV_VAR, load_startup, resolve_store_path, token_config
 from .errors import LiboptError, read_text
-
-if TYPE_CHECKING:
-    from .hierarchy import Report
 
 # Each handler imports its own stage modules, and a module imports what
 # only one of its functions needs inside that function (`fcntl` in
@@ -195,10 +191,6 @@ def cmd_install(args: argparse.Namespace) -> int:
             for path in written:
                 print(f"wrote {path}", file=sys.stderr)
     report = verify(root)
-    return print_report(report)
-
-
-def print_report(report: Report) -> int:
     for finding in report.findings:
         print(f"{finding.severity}: {finding.message}", file=sys.stderr)
     errors = len(report.errors)

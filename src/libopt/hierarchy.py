@@ -1,6 +1,8 @@
 """On-disk environment layout: list files, index generation, consistency checks.
 
-The hierarchy rooted at ``$LIBOPT_DIR`` looks like
+This module is the one owner of the layout's rules: every path into the
+hierarchy that ``run`` and ``install`` use, and every check of it, is
+written here once. The hierarchy rooted at ``$LIBOPT_DIR`` looks like
 
     collections/<coll>/{all.lst, default.lst, probs/...}
     solvers/<solv>/<coll>/{all.lst, default.lst, <solv>_<coll>}
@@ -31,6 +33,15 @@ DEFAULT_LIST = "default.lst"
 RESERVED_SOLVER_SUBDIRS = {"bin"}
 
 
+def interface_dir(root: Path, solver: str, collection: str) -> Path:
+    """``solvers/<solver>/<collection>``: the solver's side of the pair."""
+    return Path(root) / SOLVERS_DIR / solver / collection
+
+
+def driver_path(root: Path, solver: str, collection: str) -> Path:
+    return interface_dir(root, solver, collection) / f"{solver}_{collection}"
+
+
 def locate_list(
     solver: str,
     collection: str,
@@ -42,7 +53,7 @@ def locate_list(
     collection side. Not finding any is a normal outcome."""
     candidates = (
         Path(working_dir) / f"{collection}.{subc}.lst",
-        Path(root) / SOLVERS_DIR / solver / collection / f"{subc}.lst",
+        interface_dir(root, solver, collection) / f"{subc}.lst",
         Path(root) / COLLECTIONS_DIR / collection / f"{subc}.lst",
     )
     for candidate in candidates:
@@ -59,10 +70,6 @@ def _subdir_names(path: Path) -> list[str]:
     return [p.name for p in entries if p.is_dir() and is_name(p.name)]
 
 
-def _write_list(path: Path, names: list[str]) -> None:
-    path.write_text("".join(name + "\n" for name in names))
-
-
 def solver_interface_dirs(solver_dir: Path) -> list[str]:
     return [
         name
@@ -76,29 +83,24 @@ def generate_indexes(root: Path) -> list[Path]:
 
     Overwrites unconditionally, in deterministic lexicographic order, and
     returns the written paths. Creates the two top-level directories when
-    they are missing (an empty hierarchy is a valid starting shell).
+    they are missing (an empty hierarchy is a valid starting shell). A
+    directory or index list that cannot be written raises HierarchyError.
     """
     root = Path(root)
     collections_dir = root / COLLECTIONS_DIR
     solvers_dir = root / SOLVERS_DIR
-    collections_dir.mkdir(parents=True, exist_ok=True)
-    solvers_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-
-    index = collections_dir / "collections.lst"
-    _write_list(index, _subdir_names(collections_dir))
-    written.append(index)
-
-    solvers = _subdir_names(solvers_dir)
-    index = solvers_dir / "solvers.lst"
-    _write_list(index, solvers)
-    written.append(index)
-
-    for solver in solvers:
-        index = solvers_dir / solver / "collections.lst"
-        _write_list(index, solver_interface_dirs(solvers_dir / solver))
-        written.append(index)
-    return written
+    try:
+        collections_dir.mkdir(parents=True, exist_ok=True)
+        solvers_dir.mkdir(parents=True, exist_ok=True)
+        indexes = {collections_dir / "collections.lst": _subdir_names(collections_dir)}
+        indexes[solvers_dir / "solvers.lst"] = solvers = _subdir_names(solvers_dir)
+        for solver in solvers:
+            indexes[solvers_dir / solver / "collections.lst"] = solver_interface_dirs(solvers_dir / solver)
+        for path, names in indexes.items():
+            path.write_text("".join(name + "\n" for name in names))
+    except OSError as exc:
+        raise HierarchyError(f"cannot write the index lists of {root}: {exc}") from exc
+    return list(indexes)
 
 
 class Finding(NamedTuple):
@@ -121,12 +123,37 @@ class Report:
         return [f for f in self.findings if f.severity == "error"]
 
 
-def _checked_list(path: Path, report: Report, rel: Path) -> ProblemList | None:
+def _checked_list(path: Path, report: Report, rel: str) -> ProblemList | None:
     try:
         return read_list(path, warn=report.warning)
     except LiboptError as exc:
         report.error(f"{rel}: {exc}")
         return None
+
+
+def _missing_lists(directory: Path, rel: str, report: Report) -> None:
+    for fname in (ALL_LIST, DEFAULT_LIST):
+        if not (directory / fname).is_file():
+            report.error(f"missing {rel}/{fname}")
+
+
+def _check_lists(directory: Path, rel: str, within: set[str] | None, within_rel: str,
+                 report: Report) -> set[str] | None:
+    """all.lst within ``within``, the names of ``within_rel`` (no check when
+    None), then default.lst within all.lst; returns all.lst's names or None."""
+    names = None
+    for fname in (ALL_LIST, DEFAULT_LIST):
+        path = directory / fname
+        plist = _checked_list(path, report, f"{rel}/{fname}") if path.is_file() else None
+        if plist is None:
+            return names
+        for name in plist.names:
+            if within is not None and name not in within:
+                report.error(f"{rel}/{fname}: problem {name!r} not in {within_rel}")
+        if names is None:  # all.lst read: default.lst must lie within it
+            names = within = set(plist.names)
+            within_rel = ALL_LIST
+    return names
 
 
 def verify(root: Path) -> Report:
@@ -145,73 +172,35 @@ def verify(root: Path) -> Report:
     if not have_solvers:
         report.error(f"missing directory {SOLVERS_DIR}/")
 
-    collection_all: dict[str, set[str]] = {}
+    collection_all: dict[str, set[str] | None] = {}
     collections = _subdir_names(collections_dir) if have_collections else []
     for coll in collections:
-        cdir = collections_dir / coll
-        for fname in (ALL_LIST, DEFAULT_LIST):
-            if not (cdir / fname).is_file():
-                report.error(f"missing {COLLECTIONS_DIR}/{coll}/{fname}")
-        if (cdir / ALL_LIST).is_file():
-            plist = _checked_list(cdir / ALL_LIST, report, Path(COLLECTIONS_DIR, coll, ALL_LIST))
-            if plist is not None:
-                collection_all[coll] = set(plist.names)
-        if (cdir / DEFAULT_LIST).is_file() and coll in collection_all:
-            plist = _checked_list(cdir / DEFAULT_LIST, report, Path(COLLECTIONS_DIR, coll, DEFAULT_LIST))
-            if plist is not None:
-                for name in plist.names:
-                    if name not in collection_all[coll]:
-                        report.error(
-                            f"{COLLECTIONS_DIR}/{coll}/{DEFAULT_LIST}: problem {name!r}"
-                            f" not in {ALL_LIST}"
-                        )
+        rel = f"{COLLECTIONS_DIR}/{coll}"
+        _missing_lists(collections_dir / coll, rel, report)
+        collection_all[coll] = _check_lists(collections_dir / coll, rel, None, "", report)
     if have_collections:
         _check_index(collections_dir / "collections.lst", collections, report, root)
 
     solvers = _subdir_names(solvers_dir) if have_solvers else []
     for solver in solvers:
-        sdir = solvers_dir / solver
-        interfaces = solver_interface_dirs(sdir)
+        interfaces = solver_interface_dirs(solvers_dir / solver)
         for coll in interfaces:
-            idir = sdir / coll
+            idir = interface_dir(root, solver, coll)
             rel = f"{SOLVERS_DIR}/{solver}/{coll}"
             if coll not in collections:
                 report.error(f"{rel}: no installed collection named {coll!r}")
-            for fname in (ALL_LIST, DEFAULT_LIST):
-                if not (idir / fname).is_file():
-                    report.error(f"missing {rel}/{fname}")
-            driver = idir / f"{solver}_{coll}"
+            _missing_lists(idir, rel, report)
+            driver = driver_path(root, solver, coll)
             if not driver.is_file():
-                report.error(f"missing driver {rel}/{solver}_{coll}")
-            elif not _is_executable(driver):
-                report.error(f"driver {rel}/{solver}_{coll} is not executable")
-            solver_all: set[str] | None = None
-            if (idir / ALL_LIST).is_file():
-                plist = _checked_list(idir / ALL_LIST, report, Path(rel, ALL_LIST))
-                if plist is not None:
-                    solver_all = set(plist.names)
-                    for name in plist.names:
-                        if coll in collection_all and name not in collection_all[coll]:
-                            report.error(
-                                f"{rel}/{ALL_LIST}: problem {name!r} not in"
-                                f" {COLLECTIONS_DIR}/{coll}/{ALL_LIST}"
-                            )
-            if (idir / DEFAULT_LIST).is_file() and solver_all is not None:
-                plist = _checked_list(idir / DEFAULT_LIST, report, Path(rel, DEFAULT_LIST))
-                if plist is not None:
-                    for name in plist.names:
-                        if name not in solver_all:
-                            report.error(
-                                f"{rel}/{DEFAULT_LIST}: problem {name!r} not in {ALL_LIST}"
-                            )
-        _check_index(sdir / "collections.lst", interfaces, report, root)
+                report.error(f"missing driver {rel}/{driver.name}")
+            elif not os.access(driver, os.X_OK):
+                report.error(f"driver {rel}/{driver.name} is not executable")
+            within_rel = f"{COLLECTIONS_DIR}/{coll}/{ALL_LIST}"
+            _check_lists(idir, rel, collection_all.get(coll), within_rel, report)
+        _check_index(solvers_dir / solver / "collections.lst", interfaces, report, root)
     if have_solvers:
         _check_index(solvers_dir / "solvers.lst", solvers, report, root)
     return report
-
-
-def _is_executable(path: Path) -> bool:
-    return os.access(path, os.X_OK)
 
 
 def _check_index(path: Path, expected: list[str], report: Report, root: Path) -> None:
@@ -219,10 +208,8 @@ def _check_index(path: Path, expected: list[str], report: Report, root: Path) ->
     if not path.is_file():
         report.error(f"missing index list {rel}")
         return
-    try:
-        plist = read_list(path, warn=report.warning)
-    except LiboptError as exc:
-        report.error(f"{rel}: {exc}")
+    plist = _checked_list(path, report, str(rel))
+    if plist is None:
         return
     listed = set(plist.names)
     for name in expected:

@@ -38,13 +38,12 @@ import math
 import operator
 from collections import Counter
 from collections.abc import Mapping
-from contextlib import suppress
 from itertools import accumulate, chain, compress, product, repeat
 from pathlib import Path
 from typing import Callable, NamedTuple, TextIO
 
 from .errors import LiboptError, content_lines
-from .record import INFO_TOKEN, TokenConfig, check_name, read_list, split_collection_field, split_solver_field
+from .record import INFO_TOKEN, NUMBER_RE, TokenConfig, check_name, read_list, split_collection_field, split_solver_field
 from .store import Store, StoreReader
 
 SPEC_FILENAME = "perfopt.spc"
@@ -187,9 +186,9 @@ def parse_spec(
 
 
 def _finite(text: str, error: str) -> float:
-    with suppress(ValueError):
-        if math.isfinite(value := float(text)):
-            return value
+    # the result-line number grammar: float() alone also reads "1_5"
+    if NUMBER_RE.match(text) and math.isfinite(value := float(text)):
+        return value
     raise SpecError(f"{error} {text!r}")
 
 

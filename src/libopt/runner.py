@@ -24,7 +24,7 @@ from typing import Callable, Iterable, NamedTuple, TextIO
 
 from .config import ROOT_ENV_VAR
 from .errors import LiboptError
-from .hierarchy import ALL_LIST, SOLVERS_DIR, ProblemList, locate_list, read_list
+from .hierarchy import ALL_LIST, ProblemList, driver_path, interface_dir, locate_list, read_list
 from .record import LiboptRecord, check_name, filter_stream, split_collection_field, split_solver_field
 
 WarnFn = Callable[[str], None]
@@ -111,9 +111,7 @@ def resolve_problems(
     if path is None:
         return None
     located = read_list(path, warn=warn)
-    solver_all = (
-        Path(root) / SOLVERS_DIR / directive.solver / directive.collection / ALL_LIST
-    )
+    solver_all = interface_dir(root, directive.solver, directive.collection) / ALL_LIST
     if not solver_all.is_file():
         raise RunnerError(f"hierarchy inconsistency: missing {solver_all}")
     soluble = set(read_list(solver_all, warn=warn).names)
@@ -122,10 +120,6 @@ def resolve_problems(
         wanted = set(directive.explicit_problems)
         names = [n for n in names if n in wanted]
     return ProblemList(tuple(names), source=path)
-
-
-def driver_path(root: Path, solver: str, collection: str) -> Path:
-    return Path(root) / SOLVERS_DIR / solver / collection / f"{solver}_{collection}"
 
 
 def check_working_dir(working_dir: Path, root: Path) -> None:

@@ -5,6 +5,7 @@ import gc
 import io
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -518,6 +519,23 @@ def test_install_missing_driver_exits_one(env, capsys):
 def test_install_requires_root(env, monkeypatch):
     monkeypatch.delenv("LIBOPT_DIR")
     assert main(["install"]) == 2
+
+
+@pytest.mark.parametrize("blocked", ["collections", "collections/collections.lst"])
+def test_install_whose_index_lists_cannot_be_written_exits_two(env, capsys, blocked):
+    # a regular file where the directory goes, a directory where the index goes
+    spec, _ = env
+    path = spec.root / blocked
+    if path.is_dir():
+        shutil.rmtree(path)
+        path.write_text("")
+    else:
+        path.unlink()
+        path.mkdir()
+    assert main(["install"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write the index lists of {spec.root}: ")
+    assert err.count("\n") == 1
 
 
 # (file holding a byte that is not UTF-8, its other lines, other files, argv)

@@ -212,3 +212,28 @@ def test_verify_unknown_collection_interface(fixture_root):
     generate_indexes(fixture_root)
     report = verify(fixture_root)
     assert any("no installed collection named 'mystery'" in f.message for f in report.errors)
+
+
+def test_verify_reports_every_finding_in_order(fixture_root):
+    (fixture_root / "collections/toys/default.lst").unlink()
+    (fixture_root / "collections/toys/all.lst").write_text("p1 p2 p3 p1\n")
+    (fixture_root / "solvers/fakeb/toys/all.lst").write_text("p2 p9\n")
+    (fixture_root / "solvers/fakea/toys/default.lst").write_text("p1 p8\n")
+    os.chmod(fixture_root / "solvers/fakea/toys/fakea_toys", 0o644)
+    (fixture_root / "solvers/fakea/mystery").mkdir()
+    (fixture_root / "solvers/solvers.lst").write_text("fakea\nfakeb\nghost\n")
+    # each finding in its place: a collection's lists, then each solver
+    # interface (missing lists before the driver), then the index lists
+    assert [tuple(f) for f in verify(fixture_root).findings] == [
+        ("error", "missing collections/toys/default.lst"),
+        ("warning", f"duplicate entry 'p1' in {fixture_root / 'collections/toys/all.lst'}"),
+        ("error", "solvers/fakea/mystery: no installed collection named 'mystery'"),
+        ("error", "missing solvers/fakea/mystery/all.lst"),
+        ("error", "missing solvers/fakea/mystery/default.lst"),
+        ("error", "missing driver solvers/fakea/mystery/fakea_mystery"),
+        ("error", "driver solvers/fakea/toys/fakea_toys is not executable"),
+        ("error", "solvers/fakea/toys/default.lst: problem 'p8' not in all.lst"),
+        ("error", "solvers/fakea/collections.lst: missing entry 'mystery'"),
+        ("error", "solvers/fakeb/toys/all.lst: problem 'p9' not in collections/toys/all.lst"),
+        ("error", "solvers/solvers.lst: stale entry 'ghost'"),
+    ]

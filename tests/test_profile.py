@@ -25,7 +25,7 @@ from libopt.profile import (
     select,
     write_outputs,
 )
-from libopt.record import TokenConfig, parse_line
+from libopt.record import RecordError, TokenConfig, parse_line
 from libopt.store import Store, StoreReader
 
 
@@ -124,6 +124,25 @@ def test_parse_spec_accumulates_and_filters():
 def test_parse_spec_rejects(text):
     with pytest.raises(SpecError):
         parse_spec(text)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("rho_max 1_5", "bad rho_max value '1_5'"),
+        ("problem n >= 1_000", "perfopt.spc:3: bad threshold '1_000'"),
+    ],
+    ids=["rho_max", "threshold"],
+)
+def test_parse_spec_reads_numbers_as_a_result_line_does(line, message):
+    # float() reads "1_5" as 15, but a result line holds no such number
+    with pytest.raises(RecordError, match="unparseable number '1_0'"):
+        parse_line("libopt%a%c%p%info=0%t=1_0")
+    with pytest.raises(SpecError, match=message):
+        parse_spec(f"solver a b\nperformance t\n{line}\n")
+    spec = parse_spec("solver a b\nperformance t\nrho_max +2.5e1\nproblem n >= .5\n")
+    assert spec.rho_bar_override == 25.0
+    assert spec.problem_filters == (ProblemFilter("n", ">=", 0.5),)
 
 
 # text near the specification grammar: directives, names, relations,
