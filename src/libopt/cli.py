@@ -11,7 +11,7 @@ import argparse
 import gc
 import os
 import sys
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from pathlib import Path
 
 from . import __version__
@@ -61,7 +61,7 @@ def _optional_root() -> Path | None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    from .runner import RunOptions, run_batch
+    from .runner import OutputError, RunOptions, run_batch
 
     root = _require_root()
     working_dir = Path.cwd()
@@ -74,7 +74,14 @@ def cmd_run(args: argparse.Namespace) -> int:
         lines = read_text(path, "command file").split("\n")
     else:
         lines = (line.rstrip("\n") for line in sys.stdin)
-    summary = run_batch(options, working_dir, root, lines)
+    try:
+        summary = run_batch(options, working_dir, root, lines)
+    except OutputError:
+        # Python flushes stdout once more at exit: let that flush go nowhere
+        with suppress(OSError, ValueError):
+            fileno = sys.stdout.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fileno)
+        raise
     print(summary, file=sys.stderr)
     return EXIT_OK if summary.skips == 0 and summary.failures == 0 else EXIT_PARTIAL
 

@@ -2,8 +2,9 @@
 the one line rule of the directive and list files."""
 from __future__ import annotations
 
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, TextIO
 
 
 class LiboptError(Exception):
@@ -15,9 +16,30 @@ def read_text(
 ) -> str:
     """The text of a file; a file that cannot be read or decoded raises
     ``error`` naming it."""
+    with open_text(path, what, error) as handle:
+        return handle.read()
+
+
+@contextmanager
+def open_text(
+    path: Path | str, what: str, error: type[LiboptError] = LiboptError
+) -> Iterator[TextIO]:
+    """A text handle on a file that fails as if read whole first: a
+    LiboptError of its reader goes on once the rest is read, and a read
+    or decode error is ``error`` with the whole file's message."""
     try:
-        return Path(path).read_text()
+        with open(path) as handle:
+            try:
+                yield handle
+            except LiboptError:
+                while handle.read(1 << 16):
+                    pass
+                raise
     except (OSError, UnicodeDecodeError) as exc:
+        try:
+            Path(path).read_text()
+        except (OSError, UnicodeDecodeError) as whole:
+            exc = whole
         raise error(f"cannot read {what} {path}: {exc}") from exc
 
 

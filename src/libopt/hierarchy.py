@@ -133,7 +133,7 @@ def _checked_list(path: Path, report: Report, rel: str) -> ProblemList | None:
 
 def _missing_lists(directory: Path, rel: str, report: Report) -> None:
     for fname in (ALL_LIST, DEFAULT_LIST):
-        if not (directory / fname).is_file():
+        if not (directory / fname).exists():
             report.error(f"missing {rel}/{fname}")
 
 
@@ -144,7 +144,7 @@ def _check_lists(directory: Path, rel: str, within: set[str] | None, within_rel:
     names = None
     for fname in (ALL_LIST, DEFAULT_LIST):
         path = directory / fname
-        plist = _checked_list(path, report, f"{rel}/{fname}") if path.is_file() else None
+        plist = _checked_list(path, report, f"{rel}/{fname}") if path.exists() else None
         if plist is None:
             return names
         for name in plist.names:

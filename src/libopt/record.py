@@ -319,12 +319,13 @@ def filter_stream(
         yield line
 
 
-def iter_result_lines(text: str) -> Iterator[tuple[int, str]]:
+def iter_result_lines(lines: str | Iterable[str]) -> Iterator[tuple[int, str]]:
     """Yield (lineno, line) for the non-blank, non-comment lines of a result
-    file read in universal-newline mode: only "\\n" ends a line."""
-    for lineno, raw in enumerate(text.split("\n"), 1):
+    file read in universal-newline mode, from its text or from a text
+    handle on it: only "\\n" ends a line, and no line keeps it."""
+    for lineno, raw in enumerate(lines.split("\n") if isinstance(lines, str) else lines, 1):
         if not is_blank(raw):
-            yield lineno, raw
+            yield lineno, raw.rstrip("\n")
 
 
 def is_blank(line: str) -> bool:

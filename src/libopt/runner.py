@@ -38,6 +38,13 @@ class RunnerError(LiboptError):
     """A refusal or a hierarchy inconsistency that stops the batch."""
 
 
+class OutputError(RunnerError):
+    """A write to standard output failed: the batch stops."""
+
+    def __init__(self, exc: OSError):
+        super().__init__(f"cannot write standard output: {exc}")
+
+
 class RunOptions(NamedTuple):
     keep: bool = False
     test: bool = False
@@ -112,7 +119,7 @@ def resolve_problems(
         return None
     located = read_list(path, warn=warn)
     solver_all = interface_dir(root, directive.solver, directive.collection) / ALL_LIST
-    if not solver_all.is_file():
+    if not solver_all.exists():
         raise RunnerError(f"hierarchy inconsistency: missing {solver_all}")
     soluble = set(read_list(solver_all, warn=warn).names)
     names = [n for n in located.names if n in soluble]
@@ -196,11 +203,16 @@ def _execute(
         return RunOutcome(status, warnings=[f"cannot execute driver {driver}: {reason}"])
     assert proc.stdout is not None
     stream = (line.rstrip("\n") for line in proc.stdout)
-    for line in filter_stream(
-        stream, tag=run.tag, records=outcome.records, warnings=outcome.warnings
-    ):
-        print(line, file=out)
-    outcome.status = proc.wait()
+    with proc:  # on the way out, its stdout is closed and the driver reaped
+        for line in filter_stream(
+            stream, tag=run.tag, records=outcome.records, warnings=outcome.warnings
+        ):
+            try:
+                print(line, file=out)
+            except OSError as exc:
+                proc.kill()
+                raise OutputError(exc) from exc
+        outcome.status = proc.wait()
     if outcome.status == 0 and not outcome.records:
         outcome.warnings.append(
             f"driver {driver.name} printed no result line for {run.problem}"
@@ -218,8 +230,8 @@ def run_batch(
     err: TextIO | None = None,
 ) -> BatchSummary:
     """Process command lines in order; one run at a time. A bad command
-    line or list file skips its command; only a RunnerError (such as a
-    solver without its all.lst) stops the batch."""
+    line or list file skips its command; only a RunnerError (a solver
+    without its all.lst, or a failed write to ``out``) stops the batch."""
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
     # the same for every run of the batch: checked and built once
@@ -265,4 +277,8 @@ def run_batch(
                     f" with status {outcome.status} on {problem}",
                     file=err,
                 )
+    try:
+        out.flush()
+    except OSError as exc:
+        raise OutputError(exc) from exc
     return summary

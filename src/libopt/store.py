@@ -6,35 +6,43 @@ per line (the result line minus the sentinel field), sorted by key, so
 it diffs cleanly and ports anywhere. Writes go through a temp file plus
 rename, and an advisory lock file serializes concurrent writers.
 
-A store file is read by one scan. A line in the canonical form ``save``
-writes, numbers included, costs one ``record.ENTRY_RE`` match and one
-split of its pairs text, whose token layout is checked once per distinct
-layout. Every other line (blank, comment, padded, a number such as
-``1.50`` in another spelling, corrupt) goes through ``parse_fields`` as
-a result line would, so a corrupt store fails on the same line with the
-same message, and its values are formatted canonically once.
+A store file is read by one scan, line by line. A line in the canonical
+form ``save`` writes, numbers included, costs one ``record.ENTRY_RE``
+match and one split of its pairs text, whose token layout is checked
+once per distinct layout. Every other line (blank, comment, padded, a
+number such as ``1.50`` in another spelling, corrupt) goes through
+``parse_fields`` as a result line would, so a corrupt store fails on the
+same line with the same message, and its values are formatted
+canonically once. Store, result and selection files are read through
+``errors.open_text``: each fails as if read whole first, so a byte that
+does not decode, anywhere, wins over a corrupt line or a duplicate key.
+An ``import_file`` or ``delete`` that fails so may leave the ``Store``
+partly changed; the CLI never saves it then.
 
 The scan has two consumers. ``Store.open`` keeps, per key text, the
-canonical pairs text ``%token=number...``: the two halves of the line
-``save`` writes, so ``save`` is a sorted join. ``StoreReader``, which
-``profile`` reads, keeps only the keys, for the duplicate check. Both
-have the one reader ``entries(match, tokens)``: the entries whose key
-``match`` accepts, with the values of the tokens asked for, from one
-split of the pairs text (for ``StoreReader``, the scan's own), so no
-map of all entries is built to compare solvers. ``query()`` is its
-sorted view. No name holds a '%', so ``key_text.split("%")`` is the
-key's triple. A record that ``add`` or ``import_file`` inserts is
-formatted once, on insert.
+canonical pairs text ``%token=number...``, the two halves of the line
+that ``save`` writes, sorted, one at a time; its map finds duplicate
+keys. ``StoreReader``, which ``profile`` reads, keeps no entry and finds
+them by order: a key is checked against the one before it while the
+keys ascend, as ``save`` writes them, and from the first key out of
+order on against a set of the keys read (those before it read again).
+Both have the one reader ``entries(match, tokens)``: the entries whose
+key ``match`` accepts, with the values of the tokens asked for, from one
+split of the pairs text (for ``StoreReader``, the scan's own), so no map
+of all entries is built to compare solvers. ``query()`` is its sorted
+view. No name holds a '%', so ``key_text.split("%")`` is the key's
+triple. A record that ``add`` or ``import_file`` inserts is formatted
+once, on insert.
 """
 from __future__ import annotations
 
 import os
 from contextlib import contextmanager, suppress
-from itertools import chain, compress, repeat
+from itertools import chain, compress, islice, repeat
 from pathlib import Path
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import LiboptError, read_text
+from .errors import LiboptError, open_text
 from .record import (
     ENTRY_RE,
     SENTINEL,
@@ -85,29 +93,40 @@ def _parse_entry(line: str) -> tuple[str, tuple[str, ...], tuple[float, ...]]:
     return f"{solver}%{collection}%{problem}", tokens, values
 
 
-def _scan(path: Path | str, keys: Collection[str]) -> Iterator[tuple[str, str, list[str]]]:
-    """(key text, pairs text, split items) of each entry of a store file; a
-    missing file has none. A corrupt entry, or a key already in ``keys``
-    (the caller puts each key there), raises StoreError naming the line."""
+def _scan(
+    path: Path | str, keys: Collection[str] | None = None, stop: int | None = None
+) -> Iterator[tuple[str, str, list[str]]]:
+    """(key text, pairs text, split items) of each entry in the first
+    ``stop`` lines (all by default) of a store file; a missing file has
+    none. A corrupt entry, or a key read before, raises StoreError naming
+    the line. The caller puts each key in ``keys``; without it, keys are
+    checked by order, and by a set from the first key out of order on."""
     if not Path(path).exists():
         return
-    text = read_text(path, "store", StoreError)
-    for lineno, match in enumerate(ENTRY_RE.finditer(text), 1):
-        key_text, pairs, line = match.groups()
-        try:
-            if pairs is None:
-                if is_blank(line):
-                    continue
-                key_text, tokens, values = _parse_entry(f"{SENTINEL}%{line}")
-                pairs = format_pairs(tokens, values)
-            # "%t1=v1%t2=v2..." -> ["", t1, v1, t2, v2, ...]
-            items = pairs.replace("=", "%").split("%")
-            token_layout(tuple(items[1::2]))
-        except RecordError as exc:
-            raise StoreError(f"{path}:{lineno}: corrupt entry: {exc}") from exc
-        if key_text in keys:
-            raise StoreError(f"{path}:{lineno}: duplicate key {key_text}")
-        yield key_text, pairs, items
+    with open_text(path, "store", StoreError) as handle:
+        previous, seen = "", keys
+        for lineno, match in enumerate(map(ENTRY_RE.match, islice(handle, stop)), 1):
+            key_text, pairs, line = match.groups()
+            try:
+                if pairs is None:
+                    if is_blank(line):
+                        continue
+                    key_text, tokens, values = _parse_entry(f"{SENTINEL}%{line}")
+                    pairs = format_pairs(tokens, values)
+                # "%t1=v1%t2=v2..." -> ["", t1, v1, t2, v2, ...]
+                items = pairs.replace("=", "%").split("%")
+                token_layout(tuple(items[1::2]))
+            except RecordError as exc:
+                raise StoreError(f"{path}:{lineno}: corrupt entry: {exc}") from exc
+            if seen is None and key_text < previous:
+                # the lines before were checked: no key repeats among them
+                seen = {row[0] for row in _scan(path, (), lineno - 1)}
+            if key_text == previous or seen is not None and key_text in seen:
+                raise StoreError(f"{path}:{lineno}: duplicate key {key_text}")
+            if seen is not keys:
+                seen.add(key_text)
+            previous = key_text
+            yield key_text, pairs, items
 
 
 def _read(
@@ -209,7 +228,6 @@ class Store:
         if self.path is None:
             raise StoreError("store has no backing path")
         entries = self._entries
-        text = "".join([f"{k}{entries[k]}\n" for k in sorted(entries)])
         # a fresh name that O_EXCL keeps from any other writer's file
         tmp = Path(f"{self.path}.{os.urandom(8).hex()}.tmp")
         try:
@@ -217,7 +235,7 @@ class Store:
             fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o600)
             try:
                 with os.fdopen(fd, "w") as handle:
-                    handle.write(text)
+                    handle.writelines(f"{k}{entries[k]}\n" for k in sorted(entries))
                 os.replace(tmp, self.path)
             except BaseException:
                 with suppress(OSError):
@@ -300,21 +318,17 @@ class Store:
                 del self._entries[key_text]
             return DeleteResult(len(hits))
         deleted = missing = 0
-        for key_text in self._key_texts_from_file(target):
-            if self._entries.pop(key_text, None) is not None:
-                deleted += 1
-            else:
-                missing += 1
+        with open_text(target, "selection file", StoreError) as handle:
+            for lineno, raw in iter_result_lines(handle):
+                try:
+                    key_text = _parse_entry(raw)[0]
+                except RecordError as exc:
+                    raise StoreError(f"{target}:{lineno}: {exc}") from exc
+                if self._entries.pop(key_text, None) is not None:
+                    deleted += 1
+                else:
+                    missing += 1
         return DeleteResult(deleted, missing)
-
-    def _key_texts_from_file(self, path: Path) -> Iterator[str]:
-        text = read_text(path, "selection file", StoreError)
-        for lineno, raw in iter_result_lines(text):
-            try:
-                key_text = _parse_entry(raw)[0]
-            except RecordError as exc:
-                raise StoreError(f"{path}:{lineno}: {exc}") from exc
-            yield key_text
 
     def import_file(
         self,
@@ -325,21 +339,21 @@ class Store:
     ) -> ImportReport:
         """Add every result line of a file; bad lines are reported, never fatal."""
         report = ImportReport()
-        text = read_text(path, "result file", StoreError)
-        for lineno, raw in iter_result_lines(text):
-            try:
-                outcome = self._put(*_parse_entry(raw), replace, config)
-            except DuplicateEntryError as exc:
-                report.duplicates += 1
-                report.details.append(f"{path}:{lineno}: {exc}")
-            except (RecordError, StoreError) as exc:
-                report.invalid += 1
-                report.details.append(f"{path}:{lineno}: {exc}")
-            else:
-                if outcome == REPLACED:
-                    report.replaced += 1
+        with open_text(path, "result file", StoreError) as handle:
+            for lineno, raw in iter_result_lines(handle):
+                try:
+                    outcome = self._put(*_parse_entry(raw), replace, config)
+                except DuplicateEntryError as exc:
+                    report.duplicates += 1
+                    report.details.append(f"{path}:{lineno}: {exc}")
+                except (RecordError, StoreError) as exc:
+                    report.invalid += 1
+                    report.details.append(f"{path}:{lineno}: {exc}")
                 else:
-                    report.added += 1
+                    if outcome == REPLACED:
+                        report.replaced += 1
+                    else:
+                        report.added += 1
         return report
 
 
@@ -354,14 +368,7 @@ class StoreReader(NamedTuple):
         match: Callable[[list[str]], bool],
         tokens: Collection[str] | None = None,
     ) -> Iterator[tuple[list[str], tuple[str, ...], tuple[float, ...]]]:
-        seen: set[str] = set()
-
-        def rows() -> Iterator[tuple[str, str, list[str]]]:
-            for row in _scan(self.path, seen):
-                seen.add(row[0])
-                yield row
-
-        return _read(rows(), match, tokens)
+        return _read(_scan(self.path), match, tokens)
 
 
 @contextmanager

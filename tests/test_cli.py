@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import errno
 import gc
 import io
 import math
@@ -127,6 +128,92 @@ def test_run_stops_at_a_solver_without_all_list(env, monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: hierarchy inconsistency: missing ")
+
+
+def test_run_names_a_solver_all_list_that_is_a_directory(env, monkeypatch, capsys):
+    # an all.lst that exists but cannot be read is not "missing": its
+    # reader's error skips the command, and the batch goes on
+    spec, _ = env
+    solver_all = spec.root / "solvers/fakea/toys/all.lst"
+    solver_all.unlink()
+    solver_all.mkdir()
+    monkeypatch.setattr("sys.stdin", io.StringIO("fakea toys\nfakeb toys\n"))
+    assert main(["run"]) == 1
+    out, err = capsys.readouterr()
+    assert "libopt%fakeb%toys%" in out and "libopt%fakea%" not in out
+    skipped = [line for line in err.splitlines() if line.startswith("skipping")]
+    assert skipped == [
+        f"skipping command 'fakea toys': cannot read list file {solver_all}:"
+        f" [Errno 21] Is a directory: '{solver_all}'"
+    ]
+    assert "missing" not in err
+
+
+class FailingStdout(io.StringIO):
+    """A standard output whose first write, or only its flush, fails."""
+
+    def __init__(self, exc: OSError, on_flush: bool = False):
+        super().__init__()
+        self.exc, self.on_flush = exc, on_flush
+
+    def write(self, text):
+        if self.on_flush:
+            return super().write(text)
+        raise self.exc
+
+    def flush(self):
+        if self.on_flush:
+            raise self.exc
+
+
+@pytest.mark.parametrize(
+    "exc,on_flush",
+    [
+        (BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE)), False),
+        (OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)), False),
+        (OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)), True),
+    ],
+    ids=["broken-pipe", "no-space", "no-space-on-flush"],
+)
+def test_run_whose_stdout_fails_stops_and_exits_two(env, monkeypatch, capsys, exc, on_flush):
+    # the driver prints a result line, then would sleep: a batch that goes
+    # on, or a driver left running or unreaped, shows. When only the flush
+    # fails, the drivers finish and the flush before the summary fails.
+    spec, wd = env
+    lines = [
+        "#!/bin/sh",
+        f"echo $$ > {wd / 'driver.pid'}",
+        'echo "libopt%fakea%toys%$1%info=0%nfc=1"',
+        *([] if on_flush else ["exec sleep 30"]),
+    ]
+    (spec.root / "solvers/fakea/toys/fakea_toys").write_text("\n".join(lines) + "\n")
+    monkeypatch.setattr("sys.stdin", io.StringIO("fakea toys alpha\nfakea toys bravo\n"))
+    monkeypatch.setattr("sys.stdout", FailingStdout(exc, on_flush))
+    assert main(["run"]) == 2
+    assert capsys.readouterr().err == f"error: cannot write standard output: {exc}\n"
+    with pytest.raises(ProcessLookupError):
+        os.kill(int((wd / "driver.pid").read_text()), 0)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_run_into_a_full_device_ends_in_one_line(env):
+    # a real process: Python's own flush of stdout at exit must stay quiet
+    _, wd = env
+    src = str(Path(libopt.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "libopt.cli", "run"],
+            cwd=wd,
+            env={**os.environ, "PYTHONPATH": path},
+            input="fakea toys\n",
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+        )
+    assert done.returncode == 2
+    assert done.stderr == "error: cannot write standard output: [Errno 28] No space left on device\n"
 
 
 def test_run_missing_command_file(env, capsys):
@@ -519,6 +606,21 @@ def test_install_missing_driver_exits_one(env, capsys):
 def test_install_requires_root(env, monkeypatch):
     monkeypatch.delenv("LIBOPT_DIR")
     assert main(["install"]) == 2
+
+
+def test_install_names_a_solver_all_list_that_is_a_directory(env, capsys):
+    spec, _ = env
+    solver_all = spec.root / "solvers/fakea/toys/all.lst"
+    solver_all.unlink()
+    solver_all.mkdir()
+    assert main(["install"]) == 1
+    err = capsys.readouterr().err
+    assert (
+        f"error: solvers/fakea/toys/all.lst: cannot read list file {solver_all}:"
+        f" [Errno 21] Is a directory: '{solver_all}'\n"
+    ) in err
+    assert "missing" not in err
+    assert err.endswith("verification: 1 errors, 0 warnings\n")
 
 
 @pytest.mark.parametrize("blocked", ["collections", "collections/collections.lst"])

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import math
 import re
+import tracemalloc
+from contextlib import contextmanager
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -632,3 +635,161 @@ def test_locked_serializes_writers(tmp_path):
         store.add(R1)
         store.save()
     assert Store.open(path).query()[0][0].text() == "a%c%p"
+
+
+# About 50 kB of entries: a byte after them lies past the first chunk a
+# text handle decodes, so a streamed reader that reported the position
+# it met the byte at would not give the whole file's.
+FILLER = "".join(f"z%c%q{i:05d}%info=0%n={i}\n" for i in range(2000))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "a%c%p%info=0%n=1\nbad\n",  # a corrupt line
+        "a%c%p%info=0%n=1\na%c%p%info=0%n=2\n",  # a duplicate key
+        "b%c%p%info=0%n=1\na%c%p%info=0%n=2\nb%c%p%info=0%n=3\n",  # one out of order
+    ],
+    ids=["corrupt", "duplicate", "unsorted-duplicate"],
+)
+@pytest.mark.parametrize("gap", ["", FILLER], ids=["near", "far"])
+def test_open_an_undecodable_byte_wins_over_an_earlier_bad_line(tmp_path, text, gap):
+    # as when the store is decoded whole before any line is parsed
+    path = tmp_path / "dtbopt"
+    path.write_bytes((text + gap).encode() + b"\xff\n")
+    got = opened(path)
+    assert got == reference_open(path)
+    assert got.startswith(f"cannot read store {path}: 'utf-8' codec can't decode byte 0xff")
+
+
+@pytest.mark.parametrize(
+    "text,lineno",
+    [
+        ("a%c%p%info=0%n=1\na%c%p%info=0%n=2\nb%c%p%info=0%n=3\n", 2),
+        ("a%c%p%info=0%n=1\nb%c%p%info=0%n=2\nb%c%p%info=0%n=3\n", 3),
+        (" a%c%p%info=0%n=1\n\n# x\na % c % p % info = 0 % n = 2\n", 4),
+        # unsorted: the duplicate is of a key read before the first key
+        # out of order, and is not next to it
+        ("a%c%p%info=0%n=1\nc%c%p%info=0%n=2\nb%c%p%info=0%n=3\na%c%p%info=0%n=4\n", 4),
+        ("b%c%p%info=0%n=1\na%c%p%info=0%n=2\nc%c%p%info=0%n=3\nb%c%p%info=0%n=4\n", 4),
+        ("c%c%p%info=0%n=1\nb%c%p%info=0%n=2\na%c%p%info=0%n=3\nb%c%p%info=0%n=4\n", 4),
+    ],
+    ids=["first-two", "last-two", "padded", "unsorted-1", "unsorted-2", "descending"],
+)
+def test_open_names_the_duplicate_line_wherever_it_is(tmp_path, text, lineno):
+    path = tmp_path / "dtbopt"
+    path.write_text(text)
+    got = opened(path)  # through StoreReader too, which keeps no key set here
+    assert got == reference_open(path)
+    assert got.startswith(f"{path}:{lineno}: duplicate key ")
+
+
+@settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.sampled_from(["a", "b", "c", "d", "e"]), max_size=8))
+def test_open_checks_keys_in_any_order(tmp_path, problems):
+    path = tmp_path / "dtbopt"
+    path.write_text("".join(f"s%c%{p}%info=0%n={i}\n" for i, p in enumerate(problems)))
+    assert opened(path) == reference_open(path)
+
+
+@pytest.mark.parametrize("flag", [[], ["-r"], ["-d"]], ids=["add", "add-r", "add-d"])
+def test_add_of_a_file_ending_in_an_undecodable_byte_exits_two(tmp_path, monkeypatch, capsys, flag):
+    from libopt.cli import main
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("HOME", str(tmp_path))  # no startup file
+    monkeypatch.delenv("LIBOPT_RC", raising=False)
+    store = tmp_path / "dtbopt"
+    store.write_text("a%c%p%info=0%n=1\n")
+    before = store.read_bytes()
+    lines = "".join(f"libopt%a%c%p{i}%info=0%n={i}\n" for i in range(500))
+    (tmp_path / "r.lbt").write_bytes(f"libopt%a%c%p%info=0%n=2\n{lines}".encode() + b"\xff\n")
+    with pytest.raises(UnicodeDecodeError) as whole:
+        (tmp_path / "r.lbt").read_text()
+    what = "selection file" if flag == ["-d"] else "result file"
+    assert main(["add", "-b", "dtbopt", *flag, "r.lbt"]) == 2
+    assert capsys.readouterr().err == f"error: cannot read {what} r.lbt: {whole.value}\n"
+    assert store.read_bytes() == before
+
+
+def test_add_d_of_a_bad_line_then_an_undecodable_byte_reports_the_byte(tmp_path):
+    path = tmp_path / "gone.lbt"
+    path.write_bytes(b"libopt%a%c%p%info=0%n=1\nbad\n" + FILLER.encode() + b"\xff\n")
+    with pytest.raises(UnicodeDecodeError) as whole:
+        path.read_text()
+    store = Store()
+    with pytest.raises(StoreError) as err:
+        store.delete(path)
+    assert str(err.value) == f"cannot read selection file {path}: {whole.value}"
+
+
+# the memory guards: a sorted store of 20,000 entries, about 1 MB
+BIG_ENTRIES = 20_000
+
+
+@pytest.fixture(scope="module")
+def big_store(tmp_path_factory):
+    path = tmp_path_factory.mktemp("big") / "dtbopt"
+    path.write_text(
+        "".join(
+            f"solver{i % 7}%collection%problem{i:06d}%info=0%nfc={i}%time=0.25\n"
+            for i in sorted(range(BIG_ENTRIES), key=lambda i: (i % 7, i))
+        )
+    )
+    return path
+
+
+@contextmanager
+def tracing():
+    tracemalloc.start()
+    try:
+        yield
+    finally:
+        tracemalloc.stop()
+
+
+def traced(call):
+    """What ``call()`` returns, with the traced memory before it, after it
+    and at its peak; what was allocated before tracing is not counted."""
+    tracemalloc.reset_peak()
+    start = tracemalloc.get_traced_memory()[0]
+    result = call()
+    end, peak = tracemalloc.get_traced_memory()
+    return result, start, end, peak
+
+
+def test_save_holds_no_copy_of_the_store_text(big_store, tmp_path):
+    with tracing():
+        store = Store.open(big_store)
+        store.path = tmp_path / "dtbopt"
+        _, start, _, peak = traced(store.save)
+    assert store.path.read_bytes() == big_store.read_bytes()
+    assert peak - start < big_store.stat().st_size / 2
+
+
+def test_open_holds_no_copy_of_the_store_text(big_store):
+    with tracing():
+        store, _, end, peak = traced(lambda: Store.open(big_store))
+    assert len(store) == BIG_ENTRIES
+    assert peak - end < big_store.stat().st_size / 4
+
+
+def test_reader_holds_neither_the_text_nor_the_keys(big_store):
+    with tracing():
+        read, start, _, peak = traced(
+            lambda: list(StoreReader(big_store).entries(lambda key: False))
+        )
+    assert read == []
+    assert peak - start < big_store.stat().st_size / 4
+
+
+def test_import_holds_no_copy_of_the_result_file(big_store, tmp_path):
+    # every other entry of the store, as result lines
+    resfile = tmp_path / "r.lbt"
+    with open(big_store) as lines, open(resfile, "w") as out:
+        out.writelines(f"libopt%{line}" for line in islice(lines, 0, None, 2))
+    with tracing():
+        store = Store.open(big_store)
+        report, start, _, peak = traced(lambda: store.import_file(resfile, replace=True))
+    assert (report.added, report.replaced, report.invalid) == (0, BIG_ENTRIES // 2, 0)
+    assert peak - start < resfile.stat().st_size / 2
