@@ -3,7 +3,8 @@
 Diagnostics go to standard error; standard output carries only driver
 passthrough and result lines, so pipelines that grep for them keep
 working. Exit codes: 0 full success, 1 partial failures (skips,
-duplicates, findings), 2 usage or configuration errors.
+duplicates, findings), 2 usage or configuration errors, or a standard
+error that cannot be written.
 """
 from __future__ import annotations
 
@@ -43,6 +44,13 @@ def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
+def _to_devnull(stream) -> None:
+    """Point the fd of a failed standard stream at os.devnull: Python
+    flushes it once more at exit, and that flush must go nowhere."""
+    with suppress(OSError, ValueError):
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+
+
 def _require_root() -> Path:
     root = _optional_root()
     if root is None:
@@ -77,17 +85,15 @@ def cmd_run(args: argparse.Namespace) -> int:
     try:
         summary = run_batch(options, working_dir, root, lines)
     except OutputError:
-        # Python flushes stdout once more at exit: let that flush go nowhere
-        with suppress(OSError, ValueError):
-            fileno = sys.stdout.fileno()
-            os.dup2(os.open(os.devnull, os.O_WRONLY), fileno)
+        _to_devnull(sys.stdout)
         raise
     print(summary, file=sys.stderr)
     return EXIT_OK if summary.skips == 0 and summary.failures == 0 else EXIT_PARTIAL
 
 
 def cmd_add(args: argparse.Namespace) -> int:
-    from .store import Selection, Store, locked, parse_selection
+    from .merge import delete_from, import_into
+    from .store import locked, parse_selection
 
     startup = load_startup(args.config)
     store_path = resolve_store_path(args.db, startup, Path.cwd())
@@ -105,18 +111,14 @@ def cmd_add(args: argparse.Namespace) -> int:
 
     # test mode only reads the store: no lock, no save
     with nullcontext() if args.test else locked(store_path):
-        store = Store.open(store_path)
         if deleting:
-            if (args.verbose or args.test) and isinstance(target, Selection):
-                for key, _ in store.query(target):
-                    print(key.text(), file=sys.stderr)
-            result = store.delete(target)
+            show = (lambda key: print(key, file=sys.stderr)) if args.verbose or args.test else None
+            result = delete_from(store_path, target, save=not args.test, show=show)
         else:
-            report = store.import_file(
-                resfile, replace=args.replace, config=token_config(startup)
+            report = import_into(
+                store_path, resfile, replace=args.replace,
+                config=token_config(startup), save=not args.test,
             )
-        if not args.test:
-            store.save()
 
     if deleting:
         missing = f" ({result.missing} not present)" if result.missing else ""
@@ -273,10 +275,19 @@ def main(argv: list[str] | None = None, prog: str | None = None) -> int:
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        return args.handler(args)
-    except LiboptError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        try:
+            return args.handler(args)
+        except LiboptError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+    except OSError as exc:
+        # a failed write to standard error ends here; any other goes on
+        try:
+            print(f"error: {exc}", file=sys.stderr, flush=True)
+        except OSError:
+            _to_devnull(sys.stderr)
+            return EXIT_USAGE
+        raise
     finally:
         if gc_was_enabled:
             gc.enable()

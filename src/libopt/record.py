@@ -54,6 +54,7 @@ _CANONICAL_NUMBER = (
     r"-?(?![0-9.]{17})(?![0-9]{16})"
     r"(?:0(?:\.(?!0000)[0-9]*[1-9])?|[1-9][0-9]*(?:\.[0-9]*[1-9])?)"
 )
+_CANONICAL_RE = re.compile(_CANONICAL_NUMBER + r"\Z")
 _PAIR = rf"%{_B}{_NAME}{_B}={_B}{_NUMBER}{_B}"
 _SENTINEL_FIELD = rf"{_B}{SENTINEL}{_B}%"
 
@@ -162,17 +163,18 @@ def token_layout(tokens: tuple[str, ...]) -> tuple[str, ...]:
     return tokens
 
 
-def split_pairs(text: str) -> tuple[tuple[str, ...], tuple[float, ...]]:
-    """The (token layout, values) of the pairs part of a matched line;
-    raises RecordError for a bad layout or a non-finite value."""
+def split_pairs(text: str) -> tuple[tuple[str, ...], tuple[float, ...], list[str]]:
+    """The (token layout, values, number texts) of the pairs part of a
+    matched line; raises RecordError for a bad layout or a non-finite value."""
     # the matched pairs hold '%' and '=' only as separators: split them apart
     items = text.replace("=", "%").split("%")
     if " " in text or "\t" in text:
         items = [item.strip(_BLANKS) for item in items]
     tokens = token_layout(tuple(items[1::2]))
-    values = tuple(map(float, items[2::2]))
+    numbers = items[2::2]
+    values = tuple(map(float, numbers))
     check_finite(tokens, values)
-    return tokens, values
+    return tokens, values, numbers
 
 
 def check_finite(tokens: tuple[str, ...], values: tuple[float, ...]) -> None:
@@ -211,7 +213,18 @@ def parse_fields(
     match = LINE_RE.match(text)
     if match is None:
         _diagnose(text)
-    return match.group(1, 2, 3, 4, 5) + split_pairs(match[6])
+    return match.group(1, 2, 3, 4, 5) + split_pairs(match[6])[:2]
+
+
+def parse_entry(text: str) -> tuple[str, tuple[str, ...], str]:
+    """(key text, tokens, canonical pairs text) of a result line, checked
+    as ``parse_fields`` checks it; a number keeps its text when that is
+    canonical, and only the others are formatted."""
+    match = LINE_RE.match(text) or _diagnose(text)
+    tokens, values, numbers = split_pairs(match[6])
+    pairs = [f"%{t}={n if _CANONICAL_RE.match(n) else format_number(v)}"
+             for t, n, v in zip(tokens, numbers, values)]
+    return f"{match[1]}%{match[4]}%{match[5]}", tokens, "".join(pairs)
 
 
 def _diagnose(text: str) -> NoReturn:

@@ -16,8 +16,7 @@ same line with the same message, and its values are formatted
 canonically once. Store, result and selection files are read through
 ``errors.open_text``: each fails as if read whole first, so a byte that
 does not decode, anywhere, wins over a corrupt line or a duplicate key.
-An ``import_file`` or ``delete`` that fails so may leave the ``Store``
-partly changed; the CLI never saves it then.
+An ``import_file`` that fails so may leave the ``Store`` partly changed.
 
 The scan has two consumers. ``Store.open`` keeps, per key text, the
 canonical pairs text ``%token=number...``, the two halves of the line
@@ -32,11 +31,30 @@ split of the pairs text (for ``StoreReader``, the scan's own), so no map
 of all entries is built to compare solvers. ``query()`` is its sorted
 view. No name holds a '%', so ``key_text.split("%")`` is the key's
 triple. A record that ``add`` or ``import_file`` inserts is formatted
-once, on insert.
+once, on insert; a result line's number keeps its text when that is
+already canonical.
+
+Store files have one writer, ``_write``: a fresh ``O_EXCL`` temp file,
+written 512 lines at a time, then renamed over the store; a write that
+fails leaves the old store and no temp file. ``libopt add`` is the
+``merge`` module; it holds the one reader of result files and the one
+of selection files, which ``Store.import_file`` and ``Store.delete``
+import from it, and it shares ``_write`` with ``Store.save``. ``add``
+holds no map of the store. It reads the result or selection file first,
+key text -> pairs text, sorts those keys, and merges them into one scan
+of the store as it writes the store back. Each line's outcome comes from
+the keys the scan met: a key read before, in the store or earlier in the
+file, is present (a duplicate, or replaced with ``-r``), any other is
+added. Only a store out of order, which only a hand edit makes, is read
+whole and sorted first. The errors come as if the whole store were read
+first: a store error (a corrupt line, a duplicate key, a byte that does
+not decode) wins over a result or selection file that cannot be read or
+holds a bad line, and over a write that fails.
 """
 from __future__ import annotations
 
 import os
+from collections import deque
 from contextlib import contextmanager, suppress
 from itertools import chain, compress, islice, repeat
 from pathlib import Path
@@ -54,9 +72,8 @@ from .record import (
     check_name,
     format_pairs,
     is_blank,
-    iter_result_lines,
     pairs_of,
-    parse_fields,
+    parse_entry,
     split_solver_field,
     token_layout,
     validate_tokens,
@@ -87,12 +104,6 @@ class StoreKey(NamedTuple):
         return f"{self.solver_with_tag}%{self.collection}%{self.problem}"
 
 
-def _parse_entry(line: str) -> tuple[str, tuple[str, ...], tuple[float, ...]]:
-    """(key text, tokens, values) of a result line; raises RecordError."""
-    solver, _, _, collection, problem, tokens, values = parse_fields(line)
-    return f"{solver}%{collection}%{problem}", tokens, values
-
-
 def _scan(
     path: Path | str, keys: Collection[str] | None = None, stop: int | None = None
 ) -> Iterator[tuple[str, str, list[str]]]:
@@ -111,8 +122,7 @@ def _scan(
                 if pairs is None:
                     if is_blank(line):
                         continue
-                    key_text, tokens, values = _parse_entry(f"{SENTINEL}%{line}")
-                    pairs = format_pairs(tokens, values)
+                    key_text, _, pairs = parse_entry(f"{SENTINEL}%{line}")
                 # "%t1=v1%t2=v2..." -> ["", t1, v1, t2, v2, ...]
                 items = pairs.replace("=", "%").split("%")
                 token_layout(tuple(items[1::2]))
@@ -203,6 +213,30 @@ class ImportReport:
         self.details: list[str] = []
 
 
+def _write(path: Path, lines: Iterator[str]) -> None:
+    """Atomically replace the file at ``path`` by ``lines``, joined 512
+    at a time. A write that fails leaves the old file and no temp file,
+    and reads the rest of ``lines`` first: an error of the store they
+    come from wins."""
+    # a fresh name that O_EXCL keeps from any other writer's file
+    tmp = Path(f"{path}.{os.urandom(8).hex()}.tmp")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o600)
+        try:
+            with os.fdopen(fd, "w") as handle:
+                for batch in iter(lambda: "".join(islice(lines, 512)), ""):
+                    handle.write(batch)
+            os.replace(tmp, path)
+        except BaseException:
+            with suppress(OSError):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        deque(lines, 0)
+        raise StoreError(f"cannot save store {path}: {exc}") from exc
+
+
 class Store:
     """In-memory key/value map with deterministic text persistence."""
 
@@ -228,21 +262,7 @@ class Store:
         if self.path is None:
             raise StoreError("store has no backing path")
         entries = self._entries
-        # a fresh name that O_EXCL keeps from any other writer's file
-        tmp = Path(f"{self.path}.{os.urandom(8).hex()}.tmp")
-        try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o600)
-            try:
-                with os.fdopen(fd, "w") as handle:
-                    handle.writelines(f"{k}{entries[k]}\n" for k in sorted(entries))
-                os.replace(tmp, self.path)
-            except BaseException:
-                with suppress(OSError):
-                    os.unlink(tmp)
-                raise
-        except OSError as exc:
-            raise StoreError(f"cannot save store {self.path}: {exc}") from exc
+        _write(self.path, (f"{k}{entries[k]}\n" for k in sorted(entries)))
 
     def add(
         self,
@@ -256,24 +276,13 @@ class Store:
         carry it back."""
         tokens = token_layout(tuple(pair.token for pair in record.pairs))
         values = tuple(pair.value for pair in record.pairs)
+        key_text = record.key_text()
         try:
             check_finite(tokens, values)
         except RecordError as exc:
-            raise StoreError(f"{exc} in {record.key_text()}") from exc
-        return self._put(record.key_text(), tokens, values, replace, config)
-
-    def _put(
-        self,
-        key_text: str,
-        tokens: tuple[str, ...],
-        values: tuple[float, ...],
-        replace: bool,
-        config: TokenConfig | None,
-    ) -> str:
-        if config is not None:
-            problems = validate_tokens(tokens, key_text, config)
-            if problems:
-                raise StoreError("; ".join(problems))
+            raise StoreError(f"{exc} in {key_text}") from exc
+        if config is not None and (problems := validate_tokens(tokens, key_text, config)):
+            raise StoreError("; ".join(problems))
         outcome = ADDED
         if key_text in self._entries:
             if not replace:
@@ -317,18 +326,11 @@ class Store:
             for key_text in hits:
                 del self._entries[key_text]
             return DeleteResult(len(hits))
-        deleted = missing = 0
-        with open_text(target, "selection file", StoreError) as handle:
-            for lineno, raw in iter_result_lines(handle):
-                try:
-                    key_text = _parse_entry(raw)[0]
-                except RecordError as exc:
-                    raise StoreError(f"{target}:{lineno}: {exc}") from exc
-                if self._entries.pop(key_text, None) is not None:
-                    deleted += 1
-                else:
-                    missing += 1
-        return DeleteResult(deleted, missing)
+        from .merge import _listed  # the reader that add uses
+
+        keys, lines = _listed(target)
+        deleted = sum(self._entries.pop(k, None) is not None for k in keys)
+        return DeleteResult(deleted, lines - deleted)
 
     def import_file(
         self,
@@ -338,22 +340,10 @@ class Store:
         config: TokenConfig | None = None,
     ) -> ImportReport:
         """Add every result line of a file; bad lines are reported, never fatal."""
-        report = ImportReport()
-        with open_text(path, "result file", StoreError) as handle:
-            for lineno, raw in iter_result_lines(handle):
-                try:
-                    outcome = self._put(*_parse_entry(raw), replace, config)
-                except DuplicateEntryError as exc:
-                    report.duplicates += 1
-                    report.details.append(f"{path}:{lineno}: {exc}")
-                except (RecordError, StoreError) as exc:
-                    report.invalid += 1
-                    report.details.append(f"{path}:{lineno}: {exc}")
-                else:
-                    if outcome == REPLACED:
-                        report.replaced += 1
-                    else:
-                        report.added += 1
+        from .merge import _import  # the reader that add uses
+
+        report, details = _import(path, self._entries, replace, config, [])
+        report.details = [detail for _, detail in details]
         return report
 
 

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import libopt
-from libopt.cli import main
+from libopt.cli import build_parser, main
+from libopt.config import load_startup, resolve_store_path, token_config
 from libopt.errors import LiboptError
 from libopt.profile import (
     compute_profiles,
@@ -25,7 +26,7 @@ from libopt.profile import (
     parse_spec,
     select,
 )
-from libopt.store import Store
+from libopt.store import Selection, Store, parse_selection
 from libopt.toys import generate_fixture
 from test_store import canonical_stores, spelled_stores, store_like, store_text
 
@@ -214,6 +215,62 @@ def test_run_into_a_full_device_ends_in_one_line(env):
         )
     assert done.returncode == 2
     assert done.stderr == "error: cannot write standard output: [Errno 28] No space left on device\n"
+
+
+class FailingStderr(io.StringIO):
+    """A standard error whose every write fails."""
+
+    def __init__(self, exc: OSError):
+        super().__init__()
+        self.exc = exc
+
+    def write(self, text):
+        raise self.exc
+
+
+NO_SPACE = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize(
+    "argv,exc",
+    [
+        (["run"], NO_SPACE),
+        (["add", "r.lbt"], NO_SPACE),
+        (["add", "-d", "a%"], NO_SPACE),
+        (["profile"], NO_SPACE),
+        (["install"], NO_SPACE),
+        (["add", "r.lbt"], BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))),
+    ],
+    ids=["run", "add", "add-d", "profile", "install", "add-broken-pipe"],
+)
+def test_a_standard_error_that_fails_exits_two(env, monkeypatch, argv, exc):
+    # each call writes its summary to standard error, which fails: the
+    # OSError must end in main, with exit status 2
+    _, wd = env
+    (wd / "r.lbt").write_text("libopt%a%c%p%nfc=1%info=0\nlibopt%b%c%p%nfc=2%info=0\n")
+    assert main(["add", "r.lbt"]) == 0
+    (wd / "perfopt.spc").write_text("solver a b\nperformance nfc\n")
+    monkeypatch.setattr("sys.stdin", io.StringIO("fakea toys\n"))
+    monkeypatch.setattr("sys.stderr", FailingStderr(exc))
+    assert main(argv) == 2
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_add_with_a_full_standard_error_exits_two(env):
+    # a real process: the store is saved, then the summary cannot be
+    # written, and Python's own flush of stderr at exit must not fail
+    _, wd = env
+    (wd / "r.lbt").write_text("libopt%a%c%p%nfc=1%info=0\n")
+    (wd / "rc").write_text("")
+    src = str(Path(libopt.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "libopt.cli", "add", "--config", "rc", "-b", "db", "r.lbt"],
+            cwd=wd, env={**os.environ, "PYTHONPATH": path}, stderr=full, timeout=60,
+        )
+    assert done.returncode == 2
+    assert (wd / "db").read_text() == "a%c%p%nfc=1%info=0\n"
 
 
 def test_run_missing_command_file(env, capsys):
@@ -504,6 +561,185 @@ def test_profile_keeps_the_cli_contract(env, capsys, data, spec_text, flags, pto
     assert code == (0 if profiles else 1)
     assert gnu == emit_gnuplot(profiles, spec.log_scale)
     assert m == emit_matlab(profiles, spec.log_scale)
+
+
+PARSER = build_parser()
+
+
+def parent_add(argv: list[str]) -> tuple[int, str]:
+    """``libopt add`` as it was before it was streamed, kept as the
+    reference: the whole store read by ``Store.open`` first, then the
+    result or selection file, then ``Store.save`` of the whole store. Its
+    exit code and standard error."""
+    args = PARSER.parse_args(argv)
+    err: list[str] = []
+    try:
+        startup = load_startup(args.config)
+        store_path = resolve_store_path(args.db, startup, Path.cwd())
+        deleting = args.delete is not None
+        if deleting:
+            target = parse_selection(args.delete)
+        elif not Path(args.resfile).is_file():
+            raise LiboptError(f"result file not found: {args.resfile}")
+        store = Store.open(store_path)
+        if deleting:
+            if (args.verbose or args.test) and isinstance(target, Selection):
+                err += [key.text() for key, _ in store.query(target)]
+            result = store.delete(target)
+        else:
+            report = store.import_file(
+                Path(args.resfile), replace=args.replace, config=token_config(startup)
+            )
+        if not args.test:
+            store.save()
+    except LiboptError as exc:
+        return 2, "".join(f"{line}\n" for line in [*err, f"error: {exc}"])
+    if deleting:
+        missing = f" ({result.missing} not present)" if result.missing else ""
+        done = "test mode: would delete" if args.test else "deleted"
+        err.append(f"{done} {result.deleted} entries{missing}")
+        code = 0
+    else:
+        prefix = "test mode: would have " if args.test else ""
+        err += report.details
+        err.append(
+            f"{prefix}added {report.added}, replaced {report.replaced},"
+            f" duplicates {report.duplicates}, invalid {report.invalid}"
+        )
+        code = 0 if report.duplicates == 0 and report.invalid == 0 else 1
+    return code, "".join(f"{line}\n" for line in err)
+
+
+# few keys, so that the store, the result file and the patterns meet
+ADD_KEYS = [f"{s}%c%{p}" for s in ("a", "a.t", "b") for p in ("p1", "p2", "p3", "p4")]
+add_numbers = st.sampled_from(["0", "1", "2.5", "1.50", "+3", "1e3", "007", "-0", "\u0663"])
+
+
+def add_store(draw, keys: list[str]) -> bytes | None:
+    """Store bytes of ``keys`` (None: no store), sorted by key most often,
+    at times with a blank, comment or padded line, a corrupt line, a line
+    twice or a byte that does not decode."""
+    order = draw(st.sampled_from(["sorted", "sorted", "unsorted", "unsorted", "missing"]))
+    if order == "missing":
+        return None
+    keys = sorted(keys) if order == "sorted" else draw(st.permutations(keys))
+    lines = [f"{k}%info={draw(st.sampled_from('001'))}%n={draw(add_numbers)}" for k in keys]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        extra = draw(st.sampled_from(["", "# note", "bad", "twice", "padded"]))
+        if extra in ("twice", "padded"):
+            if not lines:
+                continue
+            line = draw(st.sampled_from(lines))
+            if extra == "padded":  # in place: the key order stays
+                lines[lines.index(line)] = " " + line.replace("%", " % ") + " # x"
+                continue
+            extra = line
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    data = "".join(f"{line}\n" for line in lines).encode()
+    if draw(st.integers(0, 9)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+def add_result_file(draw, keys: list[str]) -> bytes:
+    """Result-file bytes: lines of ``keys`` or of any of ADD_KEYS (a key
+    may repeat), invalid lines, blanks and comments, at times a byte that
+    does not decode."""
+    valid = st.builds(
+        "libopt%{}%info={}%n={}".format,
+        st.sampled_from(keys) if keys else st.sampled_from(ADD_KEYS),
+        st.sampled_from("01"),
+        add_numbers,
+    )
+    valid |= st.builds("libopt%{}%info=0%n=1".format, st.sampled_from(ADD_KEYS))
+    other = st.sampled_from([
+        "", "# comment", "junk", "libopt%a%c", "libopt%a%c%p1%n=1%m=2",
+        "libopt%b%c%p2%info=0%zz=1", "libopt%b%c%p3%info=0%n=1e999",
+        " libopt % a % c % p1 % info = 0 % n = 2 # padded",
+    ])
+    lines = draw(st.lists(valid | other, min_size=1, max_size=10))
+    data = "".join(f"{line}\n" for line in lines).encode()
+    if draw(st.integers(0, 9)) == 0:
+        data += b"\xff\n"
+    return data
+
+
+@st.composite
+def add_inputs(draw):
+    """(store bytes or None, result-file bytes, selection-file bytes) over
+    ADD_KEYS, the two files most often naming keys of the store; the lines
+    of the selection file all parse, and a key may repeat."""
+    keys = draw(st.lists(st.sampled_from(ADD_KEYS), unique=True, min_size=1, max_size=8))
+    listed = draw(st.lists(st.sampled_from(keys + ADD_KEYS[:2]), max_size=4))
+    selection = "".join(f"libopt%{key}%info=0%n=1\n" for key in listed).encode()
+    return add_store(draw, keys), add_result_file(draw, keys), selection
+
+
+flag_sets = st.sampled_from([[], [], ["-v"], ["-t"], ["-t", "-v"]])
+
+
+@st.composite
+def add_calls(draw):
+    """The four forms of ``add``, in any order, each with its flags: a
+    result file, with ``-r``, ``-d`` with a pattern, ``-d`` with a file."""
+    forms = [
+        ["r.lbt"],
+        ["-r", "r.lbt"],
+        ["-d", draw(st.sampled_from(["a%", "%c%p1%", "a.t%c%", "%%p2%"]))],
+        ["-d", draw(st.sampled_from(["s.lbt", "s.lbt", "r.lbt", "absent.lbt"]))],
+    ]
+    return [[*draw(flag_sets), *form] for form in draw(st.permutations(forms))]
+
+
+@settings(
+    max_examples=70,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(
+    inputs=add_inputs(),
+    calls=add_calls(),
+    db=st.sampled_from(["dtbopt", "dtbopt", "sub/dtbopt"]),
+    rc=st.sampled_from(["", "", "tokens = info n\n", "performance_tokens = n\n"]),
+)
+def test_add_keeps_the_contract_of_reading_the_whole_store(env, capsys, inputs, calls, db, rc):
+    # the streamed add against the reference, each in its own directory,
+    # one call after the other: after each, the same exit code, standard
+    # error and store bytes, and no temp file
+    _, wd = env
+    store, resfile, selection = inputs
+    for side in ("streamed", "reference"):
+        here = wd / side
+        shutil.rmtree(here, ignore_errors=True)
+        here.mkdir()
+        (here / "rc").write_text(rc)
+        (here / "r.lbt").write_bytes(resfile)
+        (here / "s.lbt").write_bytes(selection)
+        if store is not None:
+            (here / "dtbopt").write_bytes(store)
+    for call in calls:
+        argv = ["add", "--config", "rc", "-b", db, *call]
+        got = {}
+        for side in ("streamed", "reference"):
+            here = wd / side
+            os.chdir(here)
+            try:
+                capsys.readouterr()
+                if side == "streamed":
+                    code, err = main(argv), capsys.readouterr().err
+                else:
+                    code, err = parent_add(argv)
+            finally:
+                os.chdir(wd)
+            got[side] = (
+                code,
+                err,
+                (here / db).read_bytes() if (here / db).exists() else None,
+                sorted(path.name for path in here.rglob("*.tmp")),
+            )
+        assert got["streamed"] == got["reference"], argv
+        assert got["streamed"][3] == []
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import re
+import shutil
 import tracemalloc
 from contextlib import contextmanager
 from itertools import islice
@@ -793,3 +794,71 @@ def test_import_holds_no_copy_of_the_result_file(big_store, tmp_path):
         report, start, _, peak = traced(lambda: store.import_file(resfile, replace=True))
     assert (report.added, report.replaced, report.invalid) == (0, BIG_ENTRIES // 2, 0)
     assert peak - start < resfile.stat().st_size / 2
+
+
+def traced_add(big_store, argv):
+    """``add`` on a copy of the big store, traced as ``traced`` traces;
+    an untraced call first compiles and fills what every call shares."""
+    from libopt.cli import main
+
+    Path("rc").write_text("")
+    for trace in (False, True):
+        shutil.copyfile(big_store, "dtbopt")
+        if trace:
+            with tracing():
+                return traced(lambda: main(["add", "--config", "rc", *argv]))
+        main(["add", "--config", "rc", *argv])
+
+
+def test_add_holds_neither_the_store_text_nor_its_entries(big_store, tmp_path, monkeypatch):
+    # 200 result lines: 100 keys of the store, and 100 new ones
+    monkeypatch.chdir(tmp_path)
+    with open(big_store) as lines, open("r.lbt", "w") as out:
+        out.writelines(f"libopt%{line}" for line in islice(lines, 0, BIG_ENTRIES, 200))
+        out.writelines(f"libopt%new%c%p{i}%info=0%n={i}\n" for i in range(100))
+    code, start, _, peak = traced_add(big_store, ["-r", "r.lbt"])
+    assert code == 0
+    assert peak - start < big_store.stat().st_size / 4
+    assert len(Store.open("dtbopt")) == BIG_ENTRIES + 100
+
+
+def test_add_d_pattern_holds_neither_the_store_text_nor_its_entries(big_store, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, start, _, peak = traced_add(big_store, ["-d", "solver3%"])
+    assert code == 0
+    assert peak - start < big_store.stat().st_size / 4
+    assert len(Store.open("dtbopt")) == BIG_ENTRIES - len(range(3, BIG_ENTRIES, 7))
+
+
+@pytest.mark.parametrize(
+    "number,stored",
+    [
+        ("1.50", "1.5"),
+        ("1E3", "1000"),
+        ("+5", "5"),
+        ("007", "7"),
+        ("0.00001", "1e-05"),
+        ("9007199254740993", "9007199254740992"),  # 16 digits: a float cannot keep them
+        ("٣", "3"),
+    ],
+)
+def test_a_number_not_in_canonical_form_is_respelled(tmp_path, number, stored):
+    from libopt.record import parse_entry
+
+    assert format_number(float(number)) == stored
+    assert parse_entry(f"libopt%a%c%p%info=0%n={number}")[2] == f"%info=0%n={stored}"
+    (tmp_path / "r.lbt").write_text(f"libopt%a%c%p%info=0%n={number}\n")
+    store = Store(tmp_path / "dtbopt")
+    store.import_file(tmp_path / "r.lbt")
+    store.save()
+    assert (tmp_path / "dtbopt").read_text() == f"a%c%p%info=0%n={stored}\n"
+
+
+def test_a_number_in_canonical_form_keeps_its_text(monkeypatch):
+    from libopt import record
+
+    def unused(value):
+        raise AssertionError(f"{value!r} formatted")
+
+    monkeypatch.setattr(record, "format_number", unused)
+    assert record.parse_entry("libopt%a%c%p%info=0%n=-0%t=0.0001")[2] == "%info=0%n=-0%t=0.0001"
