@@ -79,9 +79,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         if not path.is_file():
             raise LiboptError(f"command file not found: {path}")
         # only "\n" ends a line, as on standard input
-        lines = read_text(path, "command file").split("\n")
+        lines = read_text(path, "command file")
     else:
-        lines = (line.rstrip("\n") for line in sys.stdin)
+        lines = sys.stdin
     try:
         summary = run_batch(options, working_dir, root, lines)
     except OutputError:

@@ -1,10 +1,10 @@
 """The package's base error, the one reader of outside text files, and
-the one line rule of the directive and list files."""
+the one line rule of every line-based file: blanks and '#' comments."""
 from __future__ import annotations
 
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import Iterable, Iterator, TextIO
 
 
 class LiboptError(Exception):
@@ -43,11 +43,12 @@ def open_text(
         raise error(f"cannot read {what} {path}: {exc}") from exc
 
 
-def content_lines(text: str) -> Iterator[tuple[int, str]]:
-    """(line number, stripped text) of each line with more than blanks and
-    a comment. Only "\n" ends a line: other line breaks are blank space in
-    it, and a '#' comment runs to the end of the line."""
-    for lineno, raw in enumerate(text.split("\n"), 1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
+def content_lines(lines: str | Iterable[str], raw: bool = False) -> Iterator[tuple[int, str]]:
+    """(line number, text) of each line with more than blanks and a '#'
+    comment, from a text or a stream of lines: the text before the comment,
+    stripped, or with ``raw`` the line as read, less its "\n". Only "\n"
+    ends a line: other line breaks are blank space in it."""
+    for lineno, line in enumerate(lines.split("\n") if isinstance(lines, str) else lines, 1):
+        text = line.split("#", 1)[0].strip()
+        if text:
+            yield lineno, line.rstrip("\n") if raw else text

@@ -1,9 +1,20 @@
 """``libopt add`` as one streamed merge of a result or selection file
-into the store file: its memory follows that file, not the store. The
-rules it keeps are told in the ``store`` module. The readers of result
-and selection files live here, apart from ``store``, which ``profile``
-loads too: each call that compiles a module from source peaks with its
-size. ``Store`` imports them when it reads such a file."""
+into the store file: its memory follows that file, not the store. It
+reads that file first, key text -> pairs text, sorts those keys, and
+merges them into one scan of the store as it writes the store back.
+Each line's outcome comes from the keys the scan met: a key read before,
+in the store or earlier in the file, is present (a duplicate, or
+replaced with ``-r``), any other is added. Only a store out of order,
+which only a hand edit makes, is read whole: its rows are sorted, then
+merged the same way. Its duplicate error is the scan's, as for every
+reader: the rows before the first key out of order ascend, so none
+repeats, and from that key on the scan checks a set. The errors come as
+if the whole store were read first: a store error (a corrupt line, a
+duplicate key, a byte that does not decode) wins over a result or
+selection file that cannot be read or holds a bad line, and over a
+write that fails. The readers of result and selection files live here,
+apart from ``store``, which ``profile`` loads too: a call that compiles
+a module from source peaks with its size."""
 from __future__ import annotations
 
 from collections import deque
@@ -13,7 +24,7 @@ from typing import Callable, Iterable, Iterator
 
 from .errors import open_text
 from .record import RecordError, TokenConfig, iter_result_lines, parse_entry, validate_tokens
-from .store import DeleteResult, ImportReport, Selection, Store, StoreError, _scan, _write
+from .store import DeleteResult, ImportReport, Selection, StoreError, _scan, _write
 
 
 def _import(
@@ -114,10 +125,9 @@ def _update(
 
     write = (lambda lines: _write(Path(path), lines)) if save else (lambda lines: deque(lines, 0))
     try:
-        write(merged(_scan(path, ())))
+        write(merged(_scan(path)))
     except _Unsorted:
-        entries = Store.open(path)._entries
-        write(merged((key, entries[key], None) for key in sorted(entries)))
+        write(merged(sorted((key, pairs, None) for key, pairs, _ in _scan(path))))
     return found
 
 
@@ -125,7 +135,7 @@ def import_into(
     path: Path | str, resfile: Path | str, *, replace: bool = False,
     config: TokenConfig | None = None, save: bool = True,
 ) -> ImportReport:
-    """``Store.import_file`` streamed through the store file at ``path``."""
+    """A store's ``import_file`` streamed through the store file at ``path``."""
     new: dict[str, str] = {}
     firsts: list[int] = []
     report, details = _read_first(path, lambda: _import(resfile, new, replace, config, firsts))
@@ -145,7 +155,7 @@ def delete_from(
     path: Path | str, target: Selection | Path, *, save: bool = True,
     show: Callable[[str], None] | None = None,
 ) -> DeleteResult:
-    """``Store.delete`` streamed through the store file at ``path``; with a
+    """A store's ``delete`` streamed through the store file at ``path``; with a
     pattern, ``show`` is called with each key deleted, in key order."""
     if isinstance(target, Selection):
         def drop(key_text: str) -> object:

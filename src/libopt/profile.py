@@ -283,18 +283,12 @@ def select(
     # a slot's order: info, the performance token, each filter's token
     tokens = (INFO_TOKEN, ptok, *(f.token for f in spec.problem_filters))
     column = dict(zip(solvers, range(len(solvers))))
-    picks: dict[tuple[str, ...], Callable[[tuple], tuple]] = {}
     rows: dict[ProblemId, list[tuple | None]] = {}
-    for (solver, collection, problem), names, values in store.entries(lambda k: k[0] in column, tokens):
-        pick = picks.get(names)
-        if pick is None:
-            # an absent token reads the None put after the values
-            at = [names.index(t) if t in names else len(names) for t in tokens]
-            pick = picks[names] = operator.itemgetter(*at)
+    for (solver, collection, problem), _, values in store.entries(lambda k: k[0] in column, tokens):
         row = rows.get((collection, problem))
         if row is None:
             row = rows[collection, problem] = [None] * len(solvers)
-        row[column[solver]] = pick((*values, None))
+        row[column[solver]] = values
     problems, kept = [], []
     for problem in sorted(rows) if candidates is None else candidates:
         # a row is whole with a slot per solver, each with the performance token

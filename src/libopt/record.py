@@ -336,14 +336,7 @@ def iter_result_lines(lines: str | Iterable[str]) -> Iterator[tuple[int, str]]:
     """Yield (lineno, line) for the non-blank, non-comment lines of a result
     file read in universal-newline mode, from its text or from a text
     handle on it: only "\\n" ends a line, and no line keeps it."""
-    for lineno, raw in enumerate(lines.split("\n") if isinstance(lines, str) else lines, 1):
-        if not is_blank(raw):
-            yield lineno, raw.rstrip("\n")
-
-
-def is_blank(line: str) -> bool:
-    """True for a line of whitespace and an optional comment only."""
-    return not line.split("#", 1)[0].strip()
+    return content_lines(lines, raw=True)
 
 
 class ProblemList(NamedTuple):

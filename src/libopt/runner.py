@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, TextIO
 
 from .config import ROOT_ENV_VAR
-from .errors import LiboptError
+from .errors import LiboptError, content_lines
 from .hierarchy import ALL_LIST, ProblemList, driver_path, interface_dir, locate_list, read_list
 from .record import LiboptRecord, check_name, filter_stream, split_collection_field, split_solver_field
 
@@ -224,7 +224,7 @@ def run_batch(
     options: RunOptions,
     working_dir: Path,
     root: Path,
-    lines: Iterable[str],
+    lines: str | Iterable[str],
     *,
     out: TextIO | None = None,
     err: TextIO | None = None,
@@ -242,10 +242,7 @@ def run_batch(
     def warn(message: str) -> None:
         print(f"warning: {message}", file=err)
 
-    for raw in lines:
-        text = raw.split("#", 1)[0].strip()
-        if not text:
-            continue
+    for _, text in content_lines(lines):
         summary.commands += 1
         try:
             directive = parse_command(text, warn=warn)

@@ -18,38 +18,27 @@ canonically once. Store, result and selection files are read through
 does not decode, anywhere, wins over a corrupt line or a duplicate key.
 An ``import_file`` that fails so may leave the ``Store`` partly changed.
 
-The scan has two consumers. ``Store.open`` keeps, per key text, the
-canonical pairs text ``%token=number...``, the two halves of the line
-that ``save`` writes, sorted, one at a time; its map finds duplicate
-keys. ``StoreReader``, which ``profile`` reads, keeps no entry and finds
-them by order: a key is checked against the one before it while the
-keys ascend, as ``save`` writes them, and from the first key out of
-order on against a set of the keys read (those before it read again).
-Both have the one reader ``entries(match, tokens)``: the entries whose
-key ``match`` accepts, with the values of the tokens asked for, from one
-split of the pairs text (for ``StoreReader``, the scan's own), so no map
-of all entries is built to compare solvers. ``query()`` is its sorted
-view. No name holds a '%', so ``key_text.split("%")`` is the key's
-triple. A record that ``add`` or ``import_file`` inserts is formatted
-once, on insert; a result line's number keeps its text when that is
-already canonical.
+The scan holds the one duplicate rule of ``Store.open``, ``StoreReader``
+and ``add``: while the keys ascend, as ``save`` writes them, a key is
+checked against the one before it (no key set is held), and from the
+first key out of order on against a set of the keys read, which a
+re-read of the lines before it fills. ``Store.open`` keeps, per key text,
+the canonical pairs text ``%token=number...``; ``StoreReader``, which
+``profile`` reads, keeps no entry. Both have the one reader
+``entries(match, tokens)``: the entries whose key ``match`` accepts, each
+from one split of its pairs text (for ``StoreReader``, the scan's own).
+With ``tokens`` it is the one projection: each entry's values come in
+the order of ``tokens``, None for a token it lacks, worked out once per
+token layout. ``query()`` is its sorted view. No name holds a '%', so
+``key_text.split("%")`` is the key's triple. A record that ``add`` or
+``import_file`` inserts is formatted once, on insert; a result line's
+number keeps its text when that is already canonical.
 
 Store files have one writer, ``_write``: a fresh ``O_EXCL`` temp file,
 written 512 lines at a time, then renamed over the store; a write that
 fails leaves the old store and no temp file. ``libopt add`` is the
-``merge`` module; it holds the one reader of result files and the one
-of selection files, which ``Store.import_file`` and ``Store.delete``
-import from it, and it shares ``_write`` with ``Store.save``. ``add``
-holds no map of the store. It reads the result or selection file first,
-key text -> pairs text, sorts those keys, and merges them into one scan
-of the store as it writes the store back. Each line's outcome comes from
-the keys the scan met: a key read before, in the store or earlier in the
-file, is present (a duplicate, or replaced with ``-r``), any other is
-added. Only a store out of order, which only a hand edit makes, is read
-whole and sorted first. The errors come as if the whole store were read
-first: a store error (a corrupt line, a duplicate key, a byte that does
-not decode) wins over a result or selection file that cannot be read or
-holds a bad line, and over a write that fails.
+``merge`` module: it shares ``_write``, and ``Store`` imports its
+readers of result and selection files.
 """
 from __future__ import annotations
 
@@ -57,10 +46,11 @@ import os
 from collections import deque
 from contextlib import contextmanager, suppress
 from itertools import chain, compress, islice, repeat
+from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import LiboptError, open_text
+from .errors import LiboptError, content_lines, open_text
 from .record import (
     ENTRY_RE,
     SENTINEL,
@@ -71,12 +61,10 @@ from .record import (
     check_finite,
     check_name,
     format_pairs,
-    is_blank,
     pairs_of,
     parse_entry,
     split_solver_field,
     token_layout,
-    validate_tokens,
 )
 
 ADDED = "added"
@@ -104,23 +92,21 @@ class StoreKey(NamedTuple):
         return f"{self.solver_with_tag}%{self.collection}%{self.problem}"
 
 
-def _scan(
-    path: Path | str, keys: Collection[str] | None = None, stop: int | None = None
-) -> Iterator[tuple[str, str, list[str]]]:
+def _scan(path: Path | str, stop: int | None = None) -> Iterator[tuple[str, str, list[str]]]:
     """(key text, pairs text, split items) of each entry in the first
     ``stop`` lines (all by default) of a store file; a missing file has
     none. A corrupt entry, or a key read before, raises StoreError naming
-    the line. The caller puts each key in ``keys``; without it, keys are
-    checked by order, and by a set from the first key out of order on."""
+    the line: a key is checked against the one before it while the keys
+    ascend, and from the first key out of order on against a set."""
     if not Path(path).exists():
         return
     with open_text(path, "store", StoreError) as handle:
-        previous, seen = "", keys
+        previous, seen = "", None
         for lineno, match in enumerate(map(ENTRY_RE.match, islice(handle, stop)), 1):
             key_text, pairs, line = match.groups()
             try:
                 if pairs is None:
-                    if is_blank(line):
+                    if not any(content_lines((line,))):  # blank or a comment
                         continue
                     key_text, _, pairs = parse_entry(f"{SENTINEL}%{line}")
                 # "%t1=v1%t2=v2..." -> ["", t1, v1, t2, v2, ...]
@@ -129,11 +115,11 @@ def _scan(
             except RecordError as exc:
                 raise StoreError(f"{path}:{lineno}: corrupt entry: {exc}") from exc
             if seen is None and key_text < previous:
-                # the lines before were checked: no key repeats among them
-                seen = {row[0] for row in _scan(path, (), lineno - 1)}
+                # the lines before ascend: no key repeats among them
+                seen = {row[0] for row in _scan(path, lineno - 1)}
             if key_text == previous or seen is not None and key_text in seen:
                 raise StoreError(f"{path}:{lineno}: duplicate key {key_text}")
-            if seen is not keys:
+            if seen is not None:
                 seen.add(key_text)
             previous = key_text
             yield key_text, pairs, items
@@ -142,11 +128,11 @@ def _scan(
 def _read(
     rows: Iterable[tuple[str, str, list[str] | None]],
     match: Callable[[list[str]], bool],
-    tokens: Collection[str] | None,
-) -> Iterator[tuple[list[str], tuple[str, ...], tuple[float, ...]]]:
+    tokens: tuple[str, ...] | None,
+) -> Iterator[tuple[list[str], tuple[str, ...], tuple[float | None, ...]]]:
     """``Store.entries`` of rows (key text, pairs text, its split items or
-    None); the tokens read and their mask are worked out once per layout."""
-    picks: dict[tuple[str, ...], tuple[tuple[str, ...], list[bool]]] = {}
+    None); the items read and their order are worked out once per layout."""
+    picks: dict[tuple[str, ...], tuple] = {}
     for key_text, pairs, items in rows:
         key = key_text.split("%")
         if not match(key):
@@ -156,12 +142,17 @@ def _read(
         layout = tuple(items[1::2])
         pick = picks.get(layout)
         if pick is None:
-            read = [tokens is None or t in tokens for t in layout]
-            names = layout if all(read) else tuple(compress(layout, read))
+            names = layout if tokens is None else tokens
+            read = [t in names for t in layout]
             mask = [False, *chain.from_iterable((False, r) for r in read)]
-            pick = picks[layout] = names, mask
-        names, mask = pick
-        yield key, names, tuple(map(float, compress(items, mask)))
+            # a token the layout lacks reads the None put after the values
+            held = list(compress(layout, read))
+            at = [held.index(t) if t in held else len(held) for t in names]
+            # at is [0] for one token, [] for none: a slice keeps a tuple
+            get = itemgetter(*at) if len(at) > 1 else itemgetter(slice(len(at)))
+            pick = picks[layout] = names, mask, get
+        names, mask, get = pick
+        yield key, names, get((*map(float, compress(items, mask)), None))
 
 
 class Selection(NamedTuple):
@@ -252,9 +243,7 @@ class Store:
     def open(cls, path: Path | str) -> Store:
         """Load a store file; a missing file is an empty store."""
         store = cls(Path(path))
-        entries = store._entries
-        for key_text, pairs, _ in _scan(path, entries):
-            entries[key_text] = pairs
+        store._entries = {key_text: pairs for key_text, pairs, _ in _scan(path)}
         return store
 
     def save(self) -> None:
@@ -264,13 +253,7 @@ class Store:
         entries = self._entries
         _write(self.path, (f"{k}{entries[k]}\n" for k in sorted(entries)))
 
-    def add(
-        self,
-        record: LiboptRecord,
-        *,
-        replace: bool = False,
-        config: TokenConfig | None = None,
-    ) -> str:
+    def add(self, record: LiboptRecord, *, replace: bool = False) -> str:
         """Insert one record; a present key is only overwritten with replace.
         A value that is not finite raises StoreError: no store line could
         carry it back."""
@@ -281,8 +264,6 @@ class Store:
             check_finite(tokens, values)
         except RecordError as exc:
             raise StoreError(f"{exc} in {key_text}") from exc
-        if config is not None and (problems := validate_tokens(tokens, key_text, config)):
-            raise StoreError("; ".join(problems))
         outcome = ADDED
         if key_text in self._entries:
             if not replace:
@@ -294,14 +275,14 @@ class Store:
     def entries(
         self,
         match: Callable[[list[str]], bool],
-        tokens: Collection[str] | None = None,
-    ) -> Iterator[tuple[list[str], tuple[str, ...], tuple[float, ...]]]:
+        tokens: tuple[str, ...] | None = None,
+    ) -> Iterator[tuple[list[str], tuple[str, ...], tuple[float | None, ...]]]:
         """(key, tokens, values) of every entry whose split key text, the
         list [solver[.tag], collection, problem], ``match`` accepts, in no
         particular order, each from one split of its pairs text. Without
-        ``tokens`` every pair is read; with ``tokens``, only the pairs of
-        those tokens (an entry may lack some). The entries of one token
-        layout share one tokens tuple."""
+        ``tokens`` every pair is read, and the entries of one token layout
+        share one tokens tuple; with ``tokens``, that tuple comes back, and
+        the values in its order, None for a token the entry lacks."""
         entries = self._entries
         return _read(zip(entries, entries.values(), repeat(None)), match, tokens)
 
@@ -356,8 +337,8 @@ class StoreReader(NamedTuple):
     def entries(
         self,
         match: Callable[[list[str]], bool],
-        tokens: Collection[str] | None = None,
-    ) -> Iterator[tuple[list[str], tuple[str, ...], tuple[float, ...]]]:
+        tokens: tuple[str, ...] | None = None,
+    ) -> Iterator[tuple[list[str], tuple[str, ...], tuple[float | None, ...]]]:
         return _read(_scan(self.path), match, tokens)
 
 

@@ -26,7 +26,7 @@ from libopt.profile import (
     parse_spec,
     select,
 )
-from libopt.store import Selection, Store, parse_selection
+from libopt.store import Selection, Store, StoreError, StoreReader, parse_selection
 from libopt.toys import generate_fixture
 from test_store import canonical_stores, spelled_stores, store_like, store_text
 
@@ -255,6 +255,57 @@ def test_a_standard_error_that_fails_exits_two(env, monkeypatch, argv, exc):
     assert main(argv) == 2
 
 
+class FailingAfter(io.StringIO):
+    """A standard stream that takes ``k`` characters; the write that would
+    go past them fails, and so does every write after it."""
+
+    def __init__(self, k: int, exc: OSError):
+        super().__init__()
+        self.k, self.exc, self.failed = k, exc, False
+
+    def write(self, text):
+        if self.failed or self.tell() + len(text) > self.k:
+            self.failed = True
+            raise self.exc
+        return super().write(text)
+
+
+STREAM_CALLS = [
+    ["run"], ["run", "-v"], ["add", "r.lbt"], ["add", "-r", "r.lbt"], ["add", "-d", "fakea%", "-v"],
+    ["profile", "-v"], ["install", "-v"], ["install", "-t"], ["-h"], ["--no-such-option"],
+]
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    argv=st.sampled_from(STREAM_CALLS),
+    name=st.sampled_from(["stdout", "stderr"]),
+    exc=st.sampled_from([BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE)), NO_SPACE]),
+    k=st.sampled_from([0, 1, 10, 50, 200, 1000]) | st.integers(0, 1000),
+)
+def test_no_failing_standard_stream_escapes_main(env, argv, name, exc, k):
+    # whatever the call and wherever the stream fails, main returns; a
+    # failed standard error, or a failed stdout of run, exits 2
+    _, wd = env
+    (wd / "dtbopt").write_text("fakea%toys%alpha%info=0%nfc=1\nfakeb%toys%alpha%info=0%nfc=2\n")
+    (wd / "r.lbt").write_text(
+        "libopt%fakea%toys%bravo%nfc=1%info=0\nlibopt%fakeb%toys%bravo%nfc=3%info=0\n"
+    )
+    (wd / "perfopt.spc").write_text("solver fakea fakeb\nperformance nfc\n")
+    stream = FailingAfter(k, exc)
+    saved = sys.stdin, sys.stdout, sys.stderr
+    sys.stdin = io.StringIO("fakea toys alpha\n")
+    setattr(sys, name, stream)
+    try:
+        code = main(argv)
+    finally:
+        sys.stdin, sys.stdout, sys.stderr = saved
+    assert code in (0, 1, 2)
+    if stream.failed and (name == "stderr" or argv[0] == "run"):
+        assert code == 2
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 def test_add_with_a_full_standard_error_exits_two(env):
     # a real process: the store is saved, then the summary cannot be
@@ -430,6 +481,68 @@ def test_profile_checks_the_entries_of_solvers_it_does_not_compare(env, capsys):
         f"error: {wd / 'dtbopt'}:2: corrupt entry: missing mandatory 'info' pair\n"
     )
     assert not (wd / "perf.gnu").exists()
+
+
+def _lines(*problems: str, canonical: bool = False) -> str:
+    """A store text of a%c%<problem> entries; a '+' problem, the '+'
+    dropped, holds n=1.50, padded as no save writes it unless canonical."""
+    return "".join(
+        f"a%c%{p}%info=0%n=1\n" if not p.startswith("+")
+        else f"a%c%{p[1:]}%info=0%n=1.5\n" if canonical
+        else f"  a % c % {p[1:]} % info = 0 % n = 1.50  \n"
+        for p in problems
+    )
+
+
+# (store text, the error every reader gives, or the store sorted)
+HAND_EDITED = {
+    "out-of-order-on-line-2": (_lines("p2", "p1", "p3", "p4"), _lines("p1", "p2", "p3", "p4")),
+    "out-of-order-in-the-middle": (_lines("p1", "p2", "p4", "p3", "p5"), _lines("p1", "p2", "p3", "p4", "p5")),
+    "out-of-order-on-the-last-line": (_lines("p2", "p3", "p4", "p1"), _lines("p1", "p2", "p3", "p4")),
+    "repeat-before-it": (_lines("p1", "p2", "p2", "p4", "p3"), "dtbopt:3: duplicate key a%c%p2"),
+    "repeat-at-it": (_lines("p1", "p2", "p4", "p5", "p2"), "dtbopt:5: duplicate key a%c%p2"),
+    "repeat-after-it": (_lines("p1", "p3", "p2", "p4", "p3"), "dtbopt:5: duplicate key a%c%p3"),
+    "repeat-after-it-far": (_lines("p1", "p4", "p3", "p2", "p5", "p1"), "dtbopt:6: duplicate key a%c%p1"),
+    "non-canonical-before-it": (_lines("+p1", "p3", "p2"), _lines("+p1", "p2", "p3", canonical=True)),
+    "non-canonical-after-it": (_lines("p1", "p3", "p2", "+p4"), _lines("p1", "p2", "p3", "+p4", canonical=True)),
+    "non-canonical-repeat-after-it": (_lines("p2", "p1", "p3", "+p2"), "dtbopt:4: duplicate key a%c%p2"),
+}
+
+
+@pytest.mark.parametrize("name", list(HAND_EDITED))
+def test_every_reader_of_a_hand_edited_store_agrees(env, capsys, name):
+    # Store.open, StoreReader and the three forms of add give one error
+    # text, or one sorted store
+    _, wd = env
+    text, want = HAND_EDITED[name]
+    (wd / "new.lbt").write_text("libopt%b%c%p1%info=0%n=1\n")
+    (wd / "listed.lbt").write_text("libopt%a%c%p9%info=0%n=1\n")
+    readers = {
+        "Store.open": lambda: Store.open("dtbopt").save(),
+        "StoreReader": lambda: list(StoreReader("dtbopt").entries(lambda key: True)),
+        "add": lambda: main(["add", "-b", "dtbopt", "new.lbt"]),
+        "add -d FILE": lambda: main(["add", "-b", "dtbopt", "-d", "listed.lbt"]),
+        "add -d PATTERN": lambda: main(["add", "-b", "dtbopt", "-d", "z%"]),
+    }
+    for reader, call in readers.items():
+        (wd / "dtbopt").write_text(text)
+        capsys.readouterr()
+        if want.startswith("dtbopt:"):
+            if reader.startswith("add"):
+                assert call() == 2, reader
+                assert capsys.readouterr().err == f"error: {want}\n", reader
+            else:
+                with pytest.raises(StoreError) as caught:
+                    call()
+                assert str(caught.value) == want, reader
+            assert (wd / "dtbopt").read_text() == text, reader
+        elif reader == "StoreReader":
+            (wd / "sorted").write_text(want)
+            assert sorted(call()) == list(StoreReader("sorted").entries(lambda key: True))
+        else:
+            assert call() in (None, 0), reader
+            added = "b%c%p1%info=0%n=1\n" if reader == "add" else ""
+            assert (wd / "dtbopt").read_text() == want + added, reader
 
 
 def test_profile_builds_no_store(env, monkeypatch, capsys):

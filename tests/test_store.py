@@ -15,7 +15,6 @@ from libopt.record import (
     ENTRY_RE,
     LiboptRecord,
     RecordError,
-    TokenConfig,
     TokenPair,
     format_number,
     iter_result_lines,
@@ -427,6 +426,31 @@ def test_entries_of_one_token_layout_share_one_tokens_tuple(tmp_path):
     assert first is second
 
 
+@pytest.mark.parametrize("reader", [Store.open, StoreReader])
+@pytest.mark.parametrize(
+    "tokens,want",
+    [
+        # a repeated token is read twice; p3 lacks nfc, the performance token
+        (("nfc", "info", "n", "nfc"),
+         {"p1": (2.0, 0.0, 1.0, 2.0), "p2": (3.0, 1.0, None, 3.0), "p3": (None, 0.0, 4.0, None)}),
+        # one token: still a tuple, over three layouts
+        (("n",), {"p1": (1.0,), "p2": (None,), "p3": (4.0,)}),
+        (("x", "y"), {"p1": (None, None), "p2": (None, None), "p3": (None, None)}),
+        ((), {"p1": (), "p2": (), "p3": ()}),
+    ],
+    ids=["repeated-and-missing", "one-token", "none-held", "no-token"],
+)
+def test_entries_with_tokens_give_values_in_token_order(tmp_path, reader, tokens, want):
+    path = tmp_path / "dtbopt"
+    path.write_text(
+        "a%c%p1%info=0%n=1%nfc=2\na%c%p2%nfc=3%info=1\na%c%p3%info=0%n=4\nb%c%p1%info=0%n=9\n"
+    )
+    got = list(reader(path).entries(lambda key: key[0] == "a", tokens))
+    assert {key[2]: values for key, _, values in got} == want
+    # the tokens tuple asked for is every entry's names
+    assert all(names is tokens for _, names, _ in got)
+
+
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_add_rejects_a_non_finite_value(tmp_path, value):
     record = LiboptRecord("a", "c", "p", (TokenPair("info", 0.0), TokenPair("n", value)))
@@ -466,13 +490,6 @@ def test_add_example_record_query_back():
         ("nga", 143.0),
         ("info", 0.0),
     ]
-
-
-def test_add_validates_against_config():
-    store = Store()
-    config = TokenConfig(valid_tokens=frozenset({"info"}))
-    with pytest.raises(StoreError):
-        store.add(R1, config=config)
 
 
 def test_tagged_solver_is_a_distinct_key():
