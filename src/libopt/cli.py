@@ -3,8 +3,8 @@
 Diagnostics go to standard error; standard output carries only driver
 passthrough and result lines, so pipelines that grep for them keep
 working. Exit codes: 0 full success, 1 partial failures (skips,
-duplicates, findings), 2 usage or configuration errors, or a standard
-error that cannot be written.
+duplicates, findings), 2 usage or configuration errors, or an OS error
+such as a removed working directory or a failed standard stream.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import __version__
 from .config import ROOT_ENV_VAR, load_startup, resolve_store_path, token_config
-from .errors import LiboptError, read_text
+from .errors import LiboptError, OutputError, read_text
 
 # Each handler imports its own stage modules, and a module imports what
 # only one of its functions needs inside that function (`fcntl` in
@@ -51,6 +51,14 @@ def _to_devnull(stream) -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
 
 
+def _stdin_lines():
+    """Standard input line by line; bytes that do not decode fail as in a command file."""
+    try:
+        yield from sys.stdin
+    except UnicodeDecodeError as exc:
+        raise LiboptError(f"cannot read standard input: {exc}") from exc
+
+
 def _require_root() -> Path:
     root = _optional_root()
     if root is None:
@@ -69,7 +77,7 @@ def _optional_root() -> Path | None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    from .runner import OutputError, RunOptions, run_batch
+    from .runner import RunOptions, run_batch
 
     root = _require_root()
     working_dir = Path.cwd()
@@ -81,12 +89,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         # only "\n" ends a line, as on standard input
         lines = read_text(path, "command file")
     else:
-        lines = sys.stdin
-    try:
-        summary = run_batch(options, working_dir, root, lines)
-    except OutputError:
-        _to_devnull(sys.stdout)
-        raise
+        lines = _stdin_lines()
+    summary = run_batch(options, working_dir, root, lines)
     print(summary, file=sys.stderr)
     return EXIT_OK if summary.skips == 0 and summary.failures == 0 else EXIT_PARTIAL
 
@@ -204,9 +208,7 @@ def cmd_install(args: argparse.Namespace) -> int:
         print(f"{finding.severity}: {finding.message}", file=sys.stderr)
     errors = len(report.errors)
     warnings = len(report.findings) - errors
-    print(
-        f"verification: {errors} errors, {warnings} warnings", file=sys.stderr
-    )
+    print(f"verification: {errors} errors, {warnings} warnings", file=sys.stderr)
     return EXIT_OK if errors == 0 else EXIT_PARTIAL
 
 
@@ -275,19 +277,16 @@ def main(argv: list[str] | None = None, prog: str | None = None) -> int:
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        try:
-            return args.handler(args)
-        except LiboptError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-    except OSError as exc:
-        # a failed write to standard error ends here; any other goes on
+        return args.handler(args)
+    except (LiboptError, OSError) as exc:
+        # one error line and exit 2, whatever failed: never raise again
+        if isinstance(exc, OutputError):
+            _to_devnull(sys.stdout)
         try:
             print(f"error: {exc}", file=sys.stderr, flush=True)
         except OSError:
             _to_devnull(sys.stderr)
-            return EXIT_USAGE
-        raise
+        return EXIT_USAGE
     finally:
         if gc_was_enabled:
             gc.enable()

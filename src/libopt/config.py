@@ -81,26 +81,14 @@ def parse_startup(text: str, source_path: Path | None = None) -> StartupFile:
     )
 
 
-def locate_startup(
-    explicit: Path | str | None = None, env: dict[str, str] | None = None
-) -> tuple[Path, bool]:
-    """Return (path, required): explicitly named files must exist, the
-    home-directory default may be absent."""
-    environ = os.environ if env is None else env
-    if explicit is not None:
-        return Path(explicit), True
-    from_env = environ.get(RC_ENV_VAR)
-    if from_env:
-        return Path(from_env), True
-    return Path.home() / DEFAULT_RC_NAME, False
-
-
-def load_startup(
-    explicit: Path | str | None = None, env: dict[str, str] | None = None
-) -> StartupFile | None:
-    path, required = locate_startup(explicit, env)
+def load_startup(explicit: Path | str | None = None) -> StartupFile | None:
+    """The startup file named on the command line, else by a non-empty
+    ``$LIBOPT_RC``, else ``~/.liboptrc``: a named file must exist, the
+    home-directory default may be absent (None)."""
+    named = explicit if explicit is not None else os.environ.get(RC_ENV_VAR) or None
+    path = Path.home() / DEFAULT_RC_NAME if named is None else Path(named)
     if not path.is_file():
-        if required:
+        if named is not None:
             raise ConfigError(f"startup file not found: {path}")
         return None
     return parse_startup(read_text(path, "startup file", ConfigError), source_path=path)

@@ -11,6 +11,13 @@ class LiboptError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class OutputError(LiboptError):
+    """A write to standard output failed: the call stops."""
+
+    def __init__(self, exc: OSError):
+        super().__init__(f"cannot write standard output: {exc}")
+
+
 def read_text(
     path: Path | str, what: str, error: type[LiboptError] = LiboptError
 ) -> str:

@@ -11,9 +11,9 @@ plus the generated index lists ``collections/collections.lst``,
 ``solvers/solvers.lst`` and ``solvers/<solv>/collections.lst``. A list
 file is a whitespace-separated sequence of names; ``#`` starts a comment
 running to the end of the line, and only "\n" ends a line. Its reader
-lives in ``record``, so a profile reads list files without this module;
-``HierarchyError``, ``ProblemList``, ``parse_list`` and ``read_list`` are
-re-exported here.
+and the name rule ``NAME_RE`` live in ``record``, so a profile reads list
+files without this module; ``HierarchyError``, ``ProblemList``,
+``parse_list`` and ``read_list`` are re-exported here.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .errors import LiboptError
-from .record import HierarchyError, ProblemList, is_name, parse_list, read_list  # noqa: F401
+from .record import NAME_RE, HierarchyError, ProblemList, parse_list, read_list  # noqa: F401
 
 COLLECTIONS_DIR = "collections"
 SOLVERS_DIR = "solvers"
@@ -67,7 +67,7 @@ def _subdir_names(path: Path) -> list[str]:
         entries = sorted(path.iterdir())
     except OSError as exc:
         raise HierarchyError(f"cannot read directory {path}: {exc}") from exc
-    return [p.name for p in entries if p.is_dir() and is_name(p.name)]
+    return [p.name for p in entries if p.is_dir() and NAME_RE.match(p.name)]
 
 
 def solver_interface_dirs(solver_dir: Path) -> list[str]:

@@ -70,15 +70,14 @@ LINE_RE = re.compile(
     rf"{_SENTINEL_FIELD}{_B}(({_NAME})(?:\.({_TAG}))?){_B}%{_B}({_NAME}){_B}"
     rf"%{_B}({_NAME}){_B}((?:{_PAIR})*)(?:#[^\n\r]*)?\Z"
 )
-# Over a whole store text (re.M), one match per "\n"-separated line: the
-# canonical entry ``solver[.tag]%collection%problem%token=number...`` as
-# Store.save writes it, split into the key text and the pairs text, or
-# any other line whole in the last group.
+# Matched on each store line as the scan reads it, its "\n" included:
+# the canonical entry ``solver[.tag]%collection%problem%token=number...``
+# as Store.save writes it, split into the key text and the pairs text,
+# or any other line whole in the last group.
 # groups: key text, all pairs; other line
 ENTRY_RE = re.compile(
     rf"^(?:({_NAME}(?:\.{_TAG})?%{_NAME}%{_NAME})"
-    rf"((?:%{_NAME}={_CANONICAL_NUMBER})+)$|(.*))",
-    re.M,
+    rf"((?:%{_NAME}={_CANONICAL_NUMBER})+)$|(.*))"
 )
 
 
@@ -88,10 +87,6 @@ class RecordError(LiboptError):
 
 class HierarchyError(LiboptError):
     """An unreadable list file, or an unusable hierarchy around it."""
-
-
-def is_name(text: str) -> bool:
-    return bool(NAME_RE.match(text))
 
 
 def check_name(text: str, what: str = "name") -> str:

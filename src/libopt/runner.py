@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, TextIO
 
 from .config import ROOT_ENV_VAR
-from .errors import LiboptError, content_lines
+from .errors import LiboptError, OutputError, content_lines
 from .hierarchy import ALL_LIST, ProblemList, driver_path, interface_dir, locate_list, read_list
 from .record import LiboptRecord, check_name, filter_stream, split_collection_field, split_solver_field
 
@@ -36,13 +36,6 @@ class CommandError(LiboptError):
 
 class RunnerError(LiboptError):
     """A refusal or a hierarchy inconsistency that stops the batch."""
-
-
-class OutputError(RunnerError):
-    """A write to standard output failed: the batch stops."""
-
-    def __init__(self, exc: OSError):
-        super().__init__(f"cannot write standard output: {exc}")
 
 
 class RunOptions(NamedTuple):
@@ -231,7 +224,8 @@ def run_batch(
 ) -> BatchSummary:
     """Process command lines in order; one run at a time. A bad command
     line or list file skips its command; only a RunnerError (a solver
-    without its all.lst, or a failed write to ``out``) stops the batch."""
+    without its all.lst) or an OutputError (a failed write to ``out``)
+    stops the batch."""
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
     # the same for every run of the batch: checked and built once

@@ -6,13 +6,15 @@ import gc
 import io
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import libopt
 from libopt.cli import build_parser, main
@@ -257,14 +259,16 @@ def test_a_standard_error_that_fails_exits_two(env, monkeypatch, argv, exc):
 
 class FailingAfter(io.StringIO):
     """A standard stream that takes ``k`` characters; the write that would
-    go past them fails, and so does every write after it."""
+    go past them fails, and so does every write after it, or, when not
+    ``sticky``, only each write that would go past them, as a file on a
+    nearly full disk can."""
 
-    def __init__(self, k: int, exc: OSError):
+    def __init__(self, k: int, exc: OSError, sticky: bool = True):
         super().__init__()
-        self.k, self.exc, self.failed = k, exc, False
+        self.k, self.exc, self.sticky, self.failed = k, exc, sticky, False
 
     def write(self, text):
-        if self.failed or self.tell() + len(text) > self.k:
+        if self.failed and self.sticky or self.tell() + len(text) > self.k:
             self.failed = True
             raise self.exc
         return super().write(text)
@@ -283,8 +287,12 @@ STREAM_CALLS = [
     name=st.sampled_from(["stdout", "stderr"]),
     exc=st.sampled_from([BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE)), NO_SPACE]),
     k=st.sampled_from([0, 1, 10, 50, 200, 1000]) | st.integers(0, 1000),
+    sticky=st.booleans(),
 )
-def test_no_failing_standard_stream_escapes_main(env, argv, name, exc, k):
+# a long write fails, and the short error line after it is taken
+@example(argv=["run", "-v"], name="stderr", exc=NO_SPACE, k=50, sticky=False)
+@example(argv=["install", "-v"], name="stderr", exc=NO_SPACE, k=50, sticky=False)
+def test_no_failing_standard_stream_escapes_main(env, argv, name, exc, k, sticky):
     # whatever the call and wherever the stream fails, main returns; a
     # failed standard error, or a failed stdout of run, exits 2
     _, wd = env
@@ -293,7 +301,7 @@ def test_no_failing_standard_stream_escapes_main(env, argv, name, exc, k):
         "libopt%fakea%toys%bravo%nfc=1%info=0\nlibopt%fakeb%toys%bravo%nfc=3%info=0\n"
     )
     (wd / "perfopt.spc").write_text("solver fakea fakeb\nperformance nfc\n")
-    stream = FailingAfter(k, exc)
+    stream = FailingAfter(k, exc, sticky)
     saved = sys.stdin, sys.stdout, sys.stderr
     sys.stdin = io.StringIO("fakea toys alpha\n")
     setattr(sys, name, stream)
@@ -304,6 +312,39 @@ def test_no_failing_standard_stream_escapes_main(env, argv, name, exc, k):
     assert code in (0, 1, 2)
     if stream.failed and (name == "stderr" or argv[0] == "run"):
         assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv", [["add", "r.lbt"], ["add", "-d", "a%"], ["profile"], ["run"]],
+    ids=["add", "add-d", "profile", "run"],
+)
+def test_a_removed_working_directory_exits_two(env, monkeypatch, capsys, argv):
+    # Path.cwd() fails with an OSError: one error line, and nothing
+    # leaves main
+    _, wd = env
+    gone = wd / "gone"
+    gone.mkdir()
+    os.chdir(gone)  # the env fixture's monkeypatch restores the cwd
+    gone.rmdir()
+    monkeypatch.setattr("sys.stdin", io.StringIO("fakea toys alpha\n"))
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_run_on_standard_input_that_does_not_decode_exits_two(env, monkeypatch, capsys):
+    # as with a command file, one error line and exit 2; the run read
+    # before the bad byte stays made (the padding fills the first chunk)
+    data = b"fakea toys alpha\n#" + b"." * 9000 + b"\nfakeb toys alpha\n\xff\n"
+    stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="strict")
+    monkeypatch.setattr("sys.stdin", stdin)
+    assert main(["run"]) == 2
+    out, err = capsys.readouterr()
+    assert "libopt%fakea%toys%alpha%" in out
+    assert "libopt%fakeb%" not in out
+    assert err.startswith("error: cannot read standard input: 'utf-8' codec can't decode byte 0xff")
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
@@ -1014,6 +1055,107 @@ def test_non_utf8_input_file_exits_two_with_one_line(env, capsys, kind):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith(f"error: cannot read {kind} ") and name in err
+
+
+BREAKS = ["delete", "rewrite", "undecodable", "dangling", "directory", "bad_name",
+          "no_driver", "not_executable", "unknown_interface"]
+LIST_WORDS = ["alpha", "bravo", "echo", "zulu", "bad-name", "alpha", "# note", "\n"]
+RUN_COMMANDS = ["fakea toys", "fakeb toys", "fakea toys alpha zulu", "fakeb toys.default",
+                "fakea toys.all bravo", "fakeb toys.nosuch", "fakea nocoll", "fakeb nocoll alpha"]
+
+
+def _clear(path: Path) -> None:
+    if path.is_dir() and not path.is_symlink():
+        shutil.rmtree(path)
+    elif path.is_symlink() or path.exists():
+        path.unlink()
+
+
+def break_tree(root: Path, kind: str, pick: int, words: list[str]) -> None:
+    """One break of a toys tree; ``pick`` chooses its target among the
+    candidates of its kind, ``words`` are a rewritten list's names."""
+    if kind == "bad_name":
+        targets = [root / "collections", root / "solvers", *sorted(root.glob("solvers/*/"))]
+    elif kind in ("no_driver", "not_executable"):
+        targets = [path for path in sorted(root.glob("solvers/*/*/*"))
+                   if path.name == f"{path.parent.parent.name}_{path.parent.name}"]
+    elif kind == "unknown_interface":
+        targets = sorted(root.glob("solvers/*/"))
+    else:
+        targets = sorted(root.rglob("*.lst"))
+    if not targets:
+        return
+    path = targets[pick % len(targets)]
+    if kind == "bad_name":
+        (path / "bad-name").mkdir(exist_ok=True)
+        (path / "bad-name" / "all.lst").write_text("alpha\n")
+    elif kind == "not_executable":
+        if path.is_file():
+            path.chmod(0o644)
+    elif kind == "unknown_interface":
+        interface = path / "nocoll"
+        interface.mkdir(exist_ok=True)
+        (interface / "all.lst").write_text("alpha\n")
+        (interface / "default.lst").write_text("alpha\n")
+        driver = interface / f"{path.name}_nocoll"
+        driver.write_text("#!/bin/sh\nexit 0\n")
+        driver.chmod(0o755)
+    else:
+        _clear(path)
+        if kind == "rewrite":
+            path.write_text(" ".join(words))
+        elif kind == "undecodable":
+            path.write_bytes(b"alpha \xff\n")
+        elif kind == "dangling":
+            path.symlink_to(root / "nowhere" / path.name)
+        elif kind == "directory":
+            path.mkdir()
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    breaks=st.lists(
+        st.tuples(st.sampled_from(BREAKS), st.integers(0, 20), st.lists(st.sampled_from(LIST_WORDS), max_size=6)),
+        min_size=1, max_size=4,
+    ),
+    commands=st.lists(st.sampled_from(RUN_COMMANDS), min_size=1, max_size=4),
+)
+# fakea's own all.lst (list file 4 in path order) deleted, or made a directory
+@example(breaks=[("delete", 4, [])], commands=["fakeb toys", "fakea toys"])
+@example(breaks=[("directory", 4, [])], commands=["fakea toys"])
+def test_install_and_run_keep_the_cli_contract_on_broken_trees(tmp_path, monkeypatch, breaks, commands):
+    # exit 0, 1 or 2, and no exception out of main. Exit 2 ends in one
+    # error line naming its cause, and install -t, which only verifies,
+    # never exits 2. Otherwise the only error lines are install's
+    # findings, as many as its summary counts.
+    base = tmp_path / "tree"
+    shutil.rmtree(base, ignore_errors=True)
+    root, wd = base / "root", base / "wd"
+    wd.mkdir(parents=True)
+    generate_fixture(root, seed=1)
+    for kind, pick, words in breaks:
+        break_tree(root, kind, pick, words)
+    monkeypatch.setenv("LIBOPT_DIR", str(root))
+    monkeypatch.chdir(wd)
+    causes = {"install": "cannot write the index lists", "run": "hierarchy inconsistency: missing"}
+    for argv in (["install", "-t"], ["run", "-t"], ["install"]):
+        monkeypatch.setattr("sys.stdin", io.StringIO("".join(c + "\n" for c in commands)))
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+            code = main(argv)
+        lines = err.getvalue().splitlines()
+        errors = [line for line in lines if line.startswith("error: ")]
+        if code == 2:
+            assert argv != ["install", "-t"]
+            assert errors == lines[-1:] and errors[0].startswith(f"error: {causes[argv[0]]}"), argv
+        elif argv[0] == "install":
+            summary = re.fullmatch(r"verification: (\d+) errors, (\d+) warnings", lines[-1])
+            warnings = [line for line in lines if line.startswith("warning: ")]
+            assert (len(errors), len(warnings)) == (int(summary[1]), int(summary[2]))
+            assert code == (1 if errors else 0)
+        else:
+            summary = re.fullmatch(r"commands: \d+, runs: \d+, skips: (\d+), failures: 0", lines[-1])
+            assert errors == [] and code == (1 if int(summary[1]) else 0)
 
 
 def _loaded_modules(wd: Path, argv: list[str], stdin: str = "") -> set[str]:

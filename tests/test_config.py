@@ -10,7 +10,6 @@ from libopt.config import (
     ConfigError,
     StartupFile,
     load_startup,
-    locate_startup,
     parse_startup,
     resolve_store_path,
     token_config,
@@ -105,14 +104,26 @@ def test_store_path_default():
     assert resolve_store_path(None, StartupFile(), Path("/w")) == Path("/w/dtbopt")
 
 
-def test_locate_startup_priority(tmp_path):
-    explicit = tmp_path / "rc"
-    path, required = locate_startup(explicit, env={"LIBOPT_RC": "/elsewhere"})
-    assert path == explicit and required
-    path, required = locate_startup(None, env={"LIBOPT_RC": str(tmp_path / "envrc")})
-    assert path == tmp_path / "envrc" and required
-    path, required = locate_startup(None, env={})
-    assert path == Path.home() / ".liboptrc" and not required
+def test_load_startup_priority(tmp_path, monkeypatch):
+    # the command line, then a non-empty $LIBOPT_RC, then ~/.liboptrc
+    monkeypatch.setenv("HOME", str(tmp_path))
+    for name, token in (("rc", "a"), ("envrc", "b"), (".liboptrc", "c")):
+        (tmp_path / name).write_text(f"tokens = {token} info\n")
+    monkeypatch.setenv("LIBOPT_RC", str(tmp_path / "envrc"))
+    assert load_startup(tmp_path / "rc").tokens == ("a", "info")
+    assert load_startup().tokens == ("b", "info")
+    monkeypatch.setenv("LIBOPT_RC", "")
+    assert load_startup().tokens == ("c", "info")
+    monkeypatch.delenv("LIBOPT_RC")
+    assert load_startup().tokens == ("c", "info")
+    # a named file must exist; the default may be absent
+    (tmp_path / ".liboptrc").unlink()
+    assert load_startup() is None
+    with pytest.raises(ConfigError, match="startup file not found"):
+        load_startup(tmp_path / "absent")
+    monkeypatch.setenv("LIBOPT_RC", str(tmp_path / "absent"))
+    with pytest.raises(ConfigError, match="startup file not found"):
+        load_startup()
 
 
 def test_load_startup_missing_explicit_is_an_error(tmp_path):
