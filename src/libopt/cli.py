@@ -9,6 +9,7 @@ such as a removed working directory or a failed standard stream.
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
 import os
 import sys
@@ -32,6 +33,9 @@ EXIT_OK = 0
 EXIT_PARTIAL = 1
 EXIT_USAGE = 2
 
+# a closed standard stream is None: it fails as a closed fd would
+CLOSED = OSError(errno.EBADF, os.strerror(errno.EBADF))
+
 ALIASES = {
     "runopt": "run",
     "addopt": "add",
@@ -47,12 +51,17 @@ def _warn(message: str) -> None:
 def _to_devnull(stream) -> None:
     """Point the fd of a failed standard stream at os.devnull: Python
     flushes it once more at exit, and that flush must go nowhere."""
+    if stream is None:  # closed: no fd, and no flush at exit
+        return
     with suppress(OSError, ValueError):
         os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
 
 
 def _stdin_lines():
-    """Standard input line by line; bytes that do not decode fail as in a command file."""
+    """Standard input line by line; a closed one, or bytes that do not
+    decode, fail as in a command file."""
+    if sys.stdin is None:
+        raise LiboptError(f"cannot read standard input: {CLOSED}")
     try:
         yield from sys.stdin
     except UnicodeDecodeError as exc:
@@ -79,6 +88,8 @@ def _optional_root() -> Path | None:
 def cmd_run(args: argparse.Namespace) -> int:
     from .runner import RunOptions, run_batch
 
+    if sys.stdout is None:  # every result line would be lost: run nothing
+        raise OutputError(CLOSED)
     root = _require_root()
     working_dir = Path.cwd()
     options = RunOptions(keep=args.keep, test=args.test, verbose=args.verbose)

@@ -17,6 +17,7 @@ apart from ``store``, which ``profile`` loads too: a call that compiles
 a module from source peaks with its size."""
 from __future__ import annotations
 
+import re
 from collections import deque
 from itertools import accumulate
 from pathlib import Path
@@ -96,30 +97,34 @@ def _update(
     """Merge ``new`` (key text -> pairs text) into one scan of the store
     file at ``path``, written back with ``save``. Each key of ``new`` met
     keeps the store's entry unless ``replace``, and goes into the list
-    returned; so does each true value of ``drop(key text)``, whose row is
-    left out. ``show`` is called with each item once the whole store is
-    read. A store out of order is read whole and sorted first."""
+    returned; so does each key text that ``drop`` accepts, whose row is
+    left out (True in its place without ``show``). ``show`` is called with
+    each item once the whole store is read. A store out of order is read
+    whole and sorted first."""
     found: list = []
 
     def merged(rows: Iterable[tuple[str, str, object]]) -> Iterator[str]:
         found.clear()
-        keys, at, previous = sorted(new), 0, ""
+        # "{" sorts above every key text, whose first character is a name's
+        keys, at, previous = [*sorted(new), "{"], 0, ""
         for key_text, pairs, _ in rows:
             if key_text < previous:
                 raise _Unsorted
             previous = key_text
-            while at < len(keys) and keys[at] < key_text:
-                yield f"{keys[at]}{new[keys[at]]}\n"
-                at += 1
-            if at < len(keys) and keys[at] == key_text:
-                at += 1
-                found.append(key_text)
-                pairs = new[key_text] if replace else pairs
-            elif drop is not None and (hit := drop(key_text)):
-                found.append(hit)
+            if keys[at] <= key_text:  # one test for a row no key of new reaches
+                while keys[at] < key_text:
+                    yield f"{keys[at]}{new[keys[at]]}\n"
+                    at += 1
+                if keys[at] == key_text:
+                    at += 1
+                    found.append(key_text)
+                    yield f"{key_text}{new[key_text] if replace else pairs}\n"
+                    continue
+            if drop is not None and drop(key_text):
+                found.append(show is None or key_text)
                 continue
             yield f"{key_text}{pairs}\n"
-        yield from (f"{key}{new[key]}\n" for key in keys[at:])
+        yield from (f"{key}{new[key]}\n" for key in keys[at:-1])
         for hit in found if show is not None else ():
             show(hit)
 
@@ -158,9 +163,8 @@ def delete_from(
     """A store's ``delete`` streamed through the store file at ``path``; with a
     pattern, ``show`` is called with each key deleted, in key order."""
     if isinstance(target, Selection):
-        def drop(key_text: str) -> object:
-            return target.matches(key_text.split("%")) and (show is None or key_text)
-
+        # one match per key text: a field the pattern leaves empty is any name
+        drop = re.compile("%".join("[^%]*" if f is None else re.escape(f) for f in target)).fullmatch
         return DeleteResult(len(_update(path, {}, False, drop, save, show)))
     keys, lines = _read_first(path, lambda: _listed(target))
     deleted = len(_update(path, {}, False, keys.__contains__, save))

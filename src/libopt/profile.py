@@ -17,28 +17,32 @@ is the nondecreasing step function
 whose value at 1 is the fraction of problems where s is best, and whose
 value just below rho_bar is the fraction of problems s solves at all.
 
-The data is held in columns. ``select`` keeps, per solver, one slot per
-comparable problem: the tuple of the values of ``info``, the performance
-token and the filter tokens, None for one absent. ``compute_ratios``
-keeps tau and rho as one list per solver, in problem order. A
-``ColumnView`` reads either as a mapping keyed by (problem, solver),
-equal to the dict it stands for. All profiles share one grid: 1, every
-distinct finite ratio, and rho_bar. A ``StepFunction`` keeps only its
-steps: the sorted grid indices where its count of problems rises (one
-Counter per column of ratios) and the value from each on. One writer,
-``_write_plots``, streams both plot files: it formats the grid once into
-x texts, then cuts one profile at a time into constant-y segments, each
-one join over its slice of the x texts, so only one profile's rows are
-alive at a time. ``emit_gnuplot`` and ``emit_matlab`` run it into a string.
+The data is held in columns of C doubles (``array('d')``), 8 bytes per
+value, with NaN for a token an entry lacks or a failed run: store values
+are finite, so NaN is no real value. ``select`` keeps one column per token
+it reads (``info``, the performance token, each filter token), the cell of
+(problem row, solver) at row * solvers + solver. ``compute_ratios`` keeps
+tau and rho as one column per solver, in problem order. A ``ColumnView``
+reads either as a mapping keyed by (problem, solver), equal to the dict
+it stands for. All profiles share one grid, an array of 1, every distinct
+finite ratio, and rho_bar. A ``StepFunction`` keeps only its steps, in
+arrays: the sorted grid indices where its count of problems rises and the
+value from each on. One writer, ``_write_plots``, streams both plot files:
+it formats the grid once, into one string of x texts and an array of their
+offsets, then cuts each profile into constant-y segments, each one
+``str.replace`` over its slice of that string. ``emit_gnuplot`` and
+``emit_matlab`` run it into a string.
 """
 from __future__ import annotations
 
 import io
 import math
 import operator
+from array import array
+from bisect import bisect_left
 from collections import Counter
 from collections.abc import Mapping
-from itertools import accumulate, chain, compress, product, repeat
+from itertools import accumulate, chain, compress, count, product, repeat
 from pathlib import Path
 from typing import Callable, NamedTuple, TextIO
 
@@ -63,7 +67,7 @@ WarnFn = Callable[[str], None]
 # (collection, problem) pair identifying one problem across collections
 ProblemId = tuple[str, str]
 # a profile's steps: (grid, grid indices where its value changes, values)
-Steps = tuple[list[float], list[int], list[float]]
+Steps = tuple[array, array, array]
 # a profile's (grid point, value there) pairs
 Breakpoints = tuple[tuple[float, float], ...]
 
@@ -96,13 +100,8 @@ class ProfileSpec(NamedTuple):
 
 
 def parse_spec(
-    text: str,
-    *,
-    cli_ptok: str | None = None,
-    cli_log: bool = False,
-    cli_output: str | None = None,
-    config: TokenConfig | None = None,
-    warn: WarnFn | None = None,
+    text: str, *, cli_ptok: str | None = None, cli_log: bool = False, cli_output: str | None = None,
+    config: TokenConfig | None = None, warn: WarnFn | None = None,
 ) -> ProfileSpec:
     """Parse specification directives and merge the command-line settings.
 
@@ -193,10 +192,7 @@ def _finite(text: str, error: str) -> float:
 
 
 def gather_candidate_problems(
-    spec: ProfileSpec,
-    working_dir: Path,
-    root: Path | None = None,
-    warn: WarnFn | None = None,
+    spec: ProfileSpec, working_dir: Path, root: Path | None = None, warn: WarnFn | None = None
 ) -> list[ProblemId] | None:
     """Resolve the collection directives to qualified problem names.
 
@@ -225,10 +221,12 @@ def gather_candidate_problems(
 
 
 class ColumnView(Mapping):
-    """A read-only map (problem, solver) -> cell over one column of cells
-    per solver, each in problem order; it iterates problem-major. With
-    ``tokens``, a cell is a slot, the values of those tokens in order
-    (None for one absent), read as the dict of the tokens present."""
+    """A read-only map (problem, solver) -> cell over columns of C doubles,
+    NaN for a value absent; it iterates problem-major. Without ``tokens``
+    there is one column per solver, in problem order, and a cell is its
+    value, None for NaN. With ``tokens`` there is one column per token,
+    the cell of problem i and solver j at i * len(solvers) + j, read as the
+    dict of the tokens present."""
 
     def __init__(self, problems, solvers, columns, tokens=None):
         self.problems, self.solvers, self.columns, self.tokens = problems, solvers, columns, tokens
@@ -239,10 +237,14 @@ class ColumnView(Mapping):
             self._at = dict(zip(self.problems, range(len(self.problems))))
         try:
             problem, solver = key
-            cell = self.columns[self.solvers.index(solver)][self._at[problem]]
+            row, column = self._at[problem], self.solvers.index(solver)
         except (KeyError, ValueError):
             raise KeyError(key) from None
-        return cell if self.tokens is None else {t: v for t, v in zip(self.tokens, cell) if v is not None}
+        if self.tokens is None:
+            value = self.columns[column][row]
+            return None if math.isnan(value) else value
+        at = row * len(self.solvers) + column
+        return {t: v for t, values in zip(self.tokens, self.columns) if not math.isnan(v := values[at])}
 
     def __iter__(self):
         return product(self.problems, self.solvers)
@@ -260,10 +262,8 @@ class ResultTable(NamedTuple):
 
 
 def select(
-    spec: ProfileSpec,
-    store: Store | StoreReader,
-    candidates: list[ProblemId] | None = None,
-    warn: WarnFn | None = None,
+    spec: ProfileSpec, store: Store | StoreReader,
+    candidates: list[ProblemId] | None = None, warn: WarnFn | None = None,
 ) -> ResultTable:
     """Pick the problems on which the selected solvers can be compared.
 
@@ -277,45 +277,52 @@ def select(
 
     Only ``info``, the performance token and the filter tokens are read
     from the store, and only those are in the table's values: its
-    ``values`` is a ``ColumnView`` of slots of those tokens.
+    ``values`` is a ``ColumnView`` of one column per token.
     """
-    solvers, ptok = spec.solvers, spec.performance_token
-    # a slot's order: info, the performance token, each filter's token
+    solvers, ptok = list(spec.solvers), spec.performance_token
+    # a cell's tokens: info, the performance token, each filter's token
     tokens = (INFO_TOKEN, ptok, *(f.token for f in spec.problem_filters))
-    column = dict(zip(solvers, range(len(solvers))))
-    rows: dict[ProblemId, list[tuple | None]] = {}
-    for (solver, collection, problem), _, values in store.entries(lambda k: k[0] in column, tokens):
+    width, column = len(solvers), dict(zip(solvers, range(len(solvers))))
+    # a row per (collection, problem); the candidates' rows are fixed up front
+    rows = {} if candidates is None else dict(zip(dict.fromkeys(candidates), count()))
+    blank = array("d", [math.nan]) * width
+    columns = [blank * len(rows) for _ in tokens]
+    info, perf, *filtered = columns
+    for (solver, collection, problem), _, values in store.entries(
+        lambda k: k[0] in column and (candidates is None or (k[1], k[2]) in rows), tokens
+    ):
         row = rows.get((collection, problem))
         if row is None:
-            row = rows[collection, problem] = [None] * len(solvers)
-        row[column[solver]] = values
+            row = rows[collection, problem] = len(rows)
+            for cells in columns:
+                cells += blank
+        at = row * width + column[solver]
+        info[at] = values[0]  # every entry has one
+        if values[1] is not None:
+            perf[at] = values[1]
+        for cells, value in zip(filtered, values[2:]) if filtered else ():
+            if value is not None:
+                cells[at] = value
+    # a row is whole with an entry per solver, each with the performance token
+    holes = {at // width for at in compress(count(), map(math.isnan, perf))}
     problems, kept = [], []
-    for problem in sorted(rows) if candidates is None else candidates:
-        # a row is whole with a slot per solver, each with the performance token
-        row = rows.get(problem)
-        if row is None or None in row or None in map(operator.itemgetter(1), row):
+    for problem in sorted(rows) if candidates is None else rows:
+        if rows[problem] in holes:
             continue
-        if _passes(spec, problem, row, warn):
+        at = rows[problem] * width
+        # the filters read the first solver's values; the others' may disagree
+        for filt, cells in zip(spec.problem_filters, filtered):
+            value, *others = cells[at:at + width]
+            if math.isnan(value) or not filt.accepts(value):
+                break
+            for other in others:
+                if not math.isnan(other) and other != value and warn is not None:
+                    warn(f"token {filt.token!r} disagrees across solvers on {problem[0]}/{problem[1]}")
+        else:
             problems.append(problem)
-            kept.append(row)
-    values = ColumnView(problems, solvers, list(zip(*kept)), tokens)
-    return ResultTable(problems, list(solvers), values)
-
-
-def _passes(spec: ProfileSpec, problem: ProblemId, row: list[tuple], warn: WarnFn | None) -> bool:
-    """Whether a problem's row of slots passes every filter; warns as ``select`` says."""
-    first, others = row[0], row[1:]
-    for at, filt in enumerate(spec.problem_filters, 2):
-        value = first[at]
-        if value is None or not filt.accepts(value):
-            return False
-        for slot in others:
-            if slot[at] is not None and slot[at] != value and warn is not None:
-                warn(
-                    f"token {filt.token!r} disagrees across solvers on"
-                    f" {problem[0]}/{problem[1]}"
-                )
-    return True
+            kept.append(at)
+    columns = [array("d", chain.from_iterable(c[at:at + width] for at in kept)) for c in columns]
+    return ResultTable(problems, solvers, ColumnView(problems, solvers, columns, tokens))
 
 
 class RatioMatrix(NamedTuple):
@@ -328,14 +335,10 @@ class RatioMatrix(NamedTuple):
     rho_bar: float
 
 
-def compute_ratios(
-    table: ResultTable,
-    ptok: str,
-    rho_bar_override: float | None = None,
-) -> RatioMatrix:
+def compute_ratios(table: ResultTable, ptok: str, rho_bar_override: float | None = None) -> RatioMatrix:
     """Turn raw performance values into per-problem relative ratios.
 
-    tau is absent for a failed run. Every problem with at least one
+    tau is absent (NaN) for a failed run. Every problem with at least one
     success is normalized by its best tau, so its minimum finite ratio
     is 1; failures (and whole all-fail rows) sit at rho_bar. Without an
     override, rho_bar is twice the largest finite ratio, floored at 2. An
@@ -346,34 +349,28 @@ def compute_ratios(
     if not table.problems:
         raise ProfileError("no eligible problems")
     problems, solvers, values = list(table.problems), list(table.solvers), table.values
-    # per problem: its row of tau, its best tau and, with a success, its largest ratio
-    tau_rows, bests, tops = [], [], []
-    for problem in problems:
-        cells = map(values.__getitem__, zip(repeat(problem), solvers))
-        row = [v[ptok] if v[INFO_TOKEN] == 0.0 else None for v in cells]
-        successes = [t for t in row if t is not None]
-        best = min(successes, default=None)
-        tau_rows.append(row)
-        bests.append(best)
-        if best is None:
-            continue
-        if best <= 0.0:
-            raw, s = next((t, s) for t, s in zip(row, solvers) if t is not None and t <= 0.0)
-            raise ProfileError(
-                f"nonpositive performance value {format_ratio(raw)} for {s}"
-                f" on {problem[0]}/{problem[1]}"
-            )
-        # division by best is monotone: the largest tau gives the largest ratio
-        tops.append(max(successes) / best)
-    max_finite = max(tops, default=None)
-    if max_finite is not None and not math.isfinite(max_finite):
-        problem, s = next(
-            (p, s) for p, row, best in zip(problems, tau_rows, bests) if best is not None
-            for s, t in zip(solvers, row) if t is not None and math.isinf(t / best)
-        )
-        raise ProfileError(
-            f"performance ratio of {s} on {problem[0]}/{problem[1]} is not finite"
-        )
+    if isinstance(values, ColumnView) and (values.tokens or ())[:2] == (INFO_TOKEN, ptok):
+        info, perf = values.columns[:2]
+    else:  # a table of dicts: its columns, read once
+        cells = [values[cell] for cell in product(problems, solvers)]
+        info, perf = ([c.get(t, math.nan) for c in cells] for t in (INFO_TOKEN, ptok))
+    width = len(solvers)
+    # per solver, tau (NaN for a failure); per problem, the best tau (inf
+    # for none): a NaN, min's second argument, never wins
+    taus = [array("d", [t if i == 0.0 else math.nan for t, i in zip(perf[s::width], info[s::width])])
+            for s in range(width)]
+    bests = array("d", [math.inf]) * len(problems)
+    for tau in taus:
+        bests = array("d", map(min, bests, tau))
+    if min(bests) <= 0.0:
+        p, s, raw = next((p, s, t) for p, *row in zip(problems, *taus) for s, t in zip(solvers, row) if t <= 0.0)
+        raise ProfileError(f"nonpositive performance value {format_ratio(raw)} for {s} on {p[0]}/{p[1]}")
+    # per solver, the ratios to the best taus, NaN for a failure
+    ratios = [array("d", map(operator.truediv, tau, bests)) for tau in taus]
+    max_finite = max(chain.from_iterable(compress(r, map(operator.eq, r, r)) for r in ratios), default=None)
+    if max_finite == math.inf:
+        p, s = next((p, s) for p, *row in zip(problems, *ratios) for s, r in zip(solvers, row) if r == math.inf)
+        raise ProfileError(f"performance ratio of {s} on {p[0]}/{p[1]} is not finite")
 
     if rho_bar_override is not None:
         if max_finite is not None and rho_bar_override <= max_finite:
@@ -391,9 +388,8 @@ def compute_ratios(
                 " to a plateau above that ratio"
             )
 
-    tau = list(zip(*tau_rows))
-    rho = [[rho_bar if t is None else t / b for t, b in zip(col, bests)] for col in tau]
-    tau_view, rho_view = ColumnView(problems, solvers, tau), ColumnView(problems, solvers, rho)
+    rho = [array("d", [rho_bar if math.isnan(r) else r for r in column]) for column in ratios]
+    tau_view, rho_view = ColumnView(problems, solvers, taus), ColumnView(problems, solvers, rho)
     return RatioMatrix(problems, solvers, tau_view, rho_view, rho_bar)
 
 
@@ -411,15 +407,13 @@ class StepFunction(NamedTuple):
     solve_fraction: float
 
     @classmethod
-    def from_breakpoints(
-        cls, solver: str, breakpoints: Breakpoints, solve_fraction: float
-    ) -> StepFunction:
+    def from_breakpoints(cls, solver: str, breakpoints: Breakpoints, solve_fraction: float) -> StepFunction:
         """The profile whose value at each grid point is given."""
-        grid = list(map(operator.itemgetter(0), breakpoints))
+        grid = array("d", map(operator.itemgetter(0), breakpoints))
         ys = list(map(operator.itemgetter(1), breakpoints))
         changes = compress(range(1, len(ys)), map(operator.ne, ys, ys[1:]))
-        starts = [0, *changes] if ys else []
-        return cls(solver, (grid, starts, [ys[i] for i in starts]), solve_fraction)
+        starts = array("q", [0, *changes] if ys else [])
+        return cls(solver, (grid, starts, array("d", [ys[i] for i in starts])), solve_fraction)
 
     @property
     def breakpoints(self) -> Breakpoints:
@@ -440,24 +434,25 @@ def compute_profiles(matrix: RatioMatrix) -> list[StepFunction]:
 
     Every ratio is a grid value, so a solver's value at grid point i is
     its count of ratios at points 0..i over the problem count: it steps
-    at the grid points of its ratios, found with one Counter per column.
+    at the grid points of its ratios (one Counter per column, each found
+    in the grid by bisection). Its failures are its ratios at rho_bar.
     """
-    count, rho_bar = len(matrix.problems), matrix.rho_bar
+    total, rho_bar = len(matrix.problems), matrix.rho_bar
     # every finite ratio lies below rho_bar, which marks the failures
-    grid = sorted({1.0, *chain.from_iterable(matrix.rho.columns)} - {rho_bar})
-    grid.append(rho_bar)
-    index = dict(zip(grid, range(len(grid))))
-    profiles = []
-    for s, rho, tau in zip(matrix.solvers, matrix.rho.columns, matrix.tau.columns):
+    points = {1.0, *chain.from_iterable(matrix.rho.columns)}
+    points.discard(rho_bar)
+    points = sorted(points)  # bisected below: a list holds its floats
+    points.append(rho_bar)
+    grid, profiles = array("d", points), []
+    for s, rho in zip(matrix.solvers, matrix.rho.columns):
         hits = Counter(rho)
         ratios = sorted(hits)
-        starts = list(map(index.__getitem__, ratios))
-        values = [n / count for n in accumulate(map(hits.__getitem__, ratios))]
+        starts = array("q", [bisect_left(points, r) for r in ratios])
+        values = array("d", [n / total for n in accumulate(map(hits.__getitem__, ratios))])
         if starts[0] != 0:
             starts.insert(0, 0)
             values.insert(0, 0.0)
-        solved = count - operator.countOf(tau, None)
-        profiles.append(StepFunction(s, (grid, starts, values), solved / count))
+        profiles.append(StepFunction(s, (grid, starts, values), (total - hits[rho_bar]) / total))
     return profiles
 
 
@@ -465,9 +460,7 @@ def compute_profiles(matrix: RatioMatrix) -> list[StepFunction]:
 format_ratio = "{:.6g}".format
 
 
-def _write_plots(
-    profiles: list[StepFunction], log_scale: bool, gnu: TextIO | None, m: TextIO | None
-) -> None:
+def _write_plots(profiles: list[StepFunction], log_scale: bool, gnu: TextIO | None, m: TextIO | None) -> None:
     """Write the Gnuplot data of the profiles to ``gnu`` and their Matlab
     script to ``m`` (see the module docstring); either may be None."""
     label = "log2(performance ratio)" if log_scale else "performance ratio"
@@ -478,32 +471,39 @@ def _write_plots(
         if not profiles:
             m.write("error('no eligible problems: nothing to plot');\n")
             return
-    # by id: each grid stays alive with its profiles for the whole call
-    x_texts: dict[int, list[str]] = {}
+    # by id: each grid stays alive with its profiles for the whole call;
+    # its x texts in one string, and the offset of each in it
+    x_texts: dict[int, tuple[str, array]] = {}
     axis = ""
     for i, profile in enumerate(profiles, 1):
         grid, starts, values = profile.steps
-        xs = x_texts.get(id(grid))
-        if xs is None:
-            xs = x_texts[id(grid)] = list(
-                map(format_ratio, map(math.log2, grid) if log_scale else grid)
-            )
-        if xs and not axis:  # the x range of the first profile with points
-            axis = f"axis([{xs[0]} {xs[-1]} 0 1]);\n"
-        ys = [f" {y}" for y in map(format_ratio, values)]
-        ends = [*starts[1:], len(grid)]
-        segments = [f"{y}\n".join(xs[a:b]) + y for a, b, y in zip(starts, ends, ys)]
+        if id(grid) not in x_texts:
+            # format_ratio's texts, each ended by "\n"
+            xs = list(map("{:.6g}\n".format, map(math.log2, grid) if log_scale else grid))
+            x_texts[id(grid)] = "".join(xs), array("q", accumulate(map(len, xs), initial=0))
+            del xs
+        text, at = x_texts[id(grid)]
+        if grid and not axis:  # the x range of the first profile with points
+            axis = f"axis([{text[:at[1] - 1]} {text[at[-2]:-1]} 0 1]);\n"
+        ys = [f" {y}\n" for y in map(format_ratio, values)]
+        # a segment of constant y: the rows of its slice of the grid; both
+        # files take 256 segments a write
+        offsets = [*map(at.__getitem__, starts), len(text)]
+        segments = [text[a:b].replace("\n", y) for a, b, y in zip(offsets, offsets[1:], ys)]
         if gnu is not None:
             # a blank line after the header, two between blocks; a jump row
             # between segments repeats the previous value, so steps render
             # as horizontal segments
             rows = [None] * (2 * len(segments) - 1)
-            rows[::2], rows[1::2] = segments, [xs[a] + y for a, y in zip(starts[1:], ys)]
-            head = "\n" if i == 1 else "\n\n"
-            gnu.writelines([f"{head}# solver {profile.solver}", "\n".join(["", *rows]), "\n"])
-        if m is not None:
-            data = "\n".join(["", *segments]).replace("\n", "\n  ")
-            m.writelines([f"data{i} = [", data, "\n];\n"])
+            rows[::2] = segments
+            rows[1::2] = [text[a:at[s + 1] - 1] + y for a, s, y in zip(offsets[1:], starts[1:], ys)]
+            gnu.write(("\n" if i == 1 else "\n\n") + f"# solver {profile.solver}\n")
+            gnu.writelines("".join(rows[k:k + 512]) for k in range(0, len(rows), 512))
+        if m is not None:  # the rows indented
+            m.write(f"data{i} = [\n")
+            m.writelines(("  " + "".join(segments[k:k + 256])).replace("\n", "\n  ")[:-2]
+                         for k in range(0, len(segments), 256))
+            m.write("];\n")
     if m is not None:
         names = ", ".join("'" + p.solver.replace("'", "''") + "'" for p in profiles)
         m.write("figure;\nhold on;\n")
@@ -526,14 +526,9 @@ def emit_matlab(profiles: list[StepFunction], log_scale: bool = False) -> str:
     return out.getvalue()
 
 
-def write_outputs(
-    profiles: list[StepFunction],
-    log_scale: bool,
-    base: Path | str,
-) -> tuple[Path, Path]:
+def write_outputs(profiles: list[StepFunction], log_scale: bool, base: Path | str) -> tuple[Path, Path]:
     """Write the <base>.gnu and <base>.m plot-data files."""
-    gnu_path = Path(str(base) + ".gnu")
-    m_path = Path(str(base) + ".m")
+    gnu_path, m_path = Path(f"{base}.gnu"), Path(f"{base}.m")
     try:
         with open(gnu_path, "w") as gnu, open(m_path, "w") as m:
             _write_plots(profiles, log_scale, gnu, m)

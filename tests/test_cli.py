@@ -288,13 +288,16 @@ STREAM_CALLS = [
     exc=st.sampled_from([BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE)), NO_SPACE]),
     k=st.sampled_from([0, 1, 10, 50, 200, 1000]) | st.integers(0, 1000),
     sticky=st.booleans(),
+    closed=st.sampled_from([None, "stdin", "stdout", "stderr"]),
 )
 # a long write fails, and the short error line after it is taken
-@example(argv=["run", "-v"], name="stderr", exc=NO_SPACE, k=50, sticky=False)
-@example(argv=["install", "-v"], name="stderr", exc=NO_SPACE, k=50, sticky=False)
-def test_no_failing_standard_stream_escapes_main(env, argv, name, exc, k, sticky):
+@example(argv=["run", "-v"], name="stderr", exc=NO_SPACE, k=50, sticky=False, closed=None)
+@example(argv=["install", "-v"], name="stderr", exc=NO_SPACE, k=50, sticky=False, closed=None)
+@example(argv=["run"], name="stderr", exc=NO_SPACE, k=1000, sticky=True, closed="stdout")
+def test_no_failing_standard_stream_escapes_main(env, argv, name, exc, k, sticky, closed):
     # whatever the call and wherever the stream fails, main returns; a
-    # failed standard error, or a failed stdout of run, exits 2
+    # failed standard error, or a failed stdout of run, exits 2. A closed
+    # stream (`<&-`, `>&-`) is None; run exits 2 on a closed stdin or stdout
     _, wd = env
     (wd / "dtbopt").write_text("fakea%toys%alpha%info=0%nfc=1\nfakeb%toys%alpha%info=0%nfc=2\n")
     (wd / "r.lbt").write_text(
@@ -305,12 +308,16 @@ def test_no_failing_standard_stream_escapes_main(env, argv, name, exc, k, sticky
     saved = sys.stdin, sys.stdout, sys.stderr
     sys.stdin = io.StringIO("fakea toys alpha\n")
     setattr(sys, name, stream)
+    if closed is not None:
+        setattr(sys, closed, None)
     try:
         code = main(argv)
     finally:
         sys.stdin, sys.stdout, sys.stderr = saved
     assert code in (0, 1, 2)
     if stream.failed and (name == "stderr" or argv[0] == "run"):
+        assert code == 2
+    if closed in ("stdin", "stdout") and argv[0] == "run":
         assert code == 2
 
 
@@ -345,6 +352,30 @@ def test_run_on_standard_input_that_does_not_decode_exits_two(env, monkeypatch, 
     assert "libopt%fakeb%" not in out
     assert err.startswith("error: cannot read standard input: 'utf-8' codec can't decode byte 0xff")
     assert len(err.splitlines()) == 1
+
+
+def test_run_on_a_closed_standard_input_exits_two(env, monkeypatch, capsys):
+    # `libopt run <&-` leaves sys.stdin None: one error line, as for a
+    # standard input that cannot be read, and no traceback
+    monkeypatch.setattr("sys.stdin", None)
+    assert main(["run"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: cannot read standard input: [Errno 9] Bad file descriptor\n"
+
+
+@pytest.mark.parametrize("argv", [["run"], ["run", "-v", "cmds"]])
+def test_run_into_a_closed_standard_output_runs_nothing_and_exits_two(env, monkeypatch, capsys, argv):
+    # `libopt run cmds >&-` leaves sys.stdout None: every result line would
+    # be lost, so the call stops before the first run
+    spec, wd = env
+    (spec.root / "solvers/fakea/toys/fakea_toys").write_text(f"#!/bin/sh\necho ran >> {wd / 'ran'}\n")
+    (wd / "cmds").write_text("fakea toys alpha\n")
+    monkeypatch.setattr("sys.stdin", io.StringIO("fakea toys alpha\n"))
+    monkeypatch.setattr("sys.stdout", None)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: cannot write standard output: [Errno 9] Bad file descriptor\n"
+    assert not (wd / "ran").exists()
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

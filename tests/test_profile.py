@@ -2,17 +2,21 @@ from __future__ import annotations
 
 import math
 import random
+import tempfile
 import tracemalloc
 from bisect import bisect_right
-from itertools import zip_longest
+from itertools import repeat, zip_longest
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from libopt.errors import LiboptError
 from libopt.profile import (
+    RELATIONS,
     ProblemFilter,
     ProfileError,
+    RatioMatrix,
     ResultTable,
     SpecError,
     StepFunction,
@@ -25,7 +29,7 @@ from libopt.profile import (
     select,
     write_outputs,
 )
-from libopt.record import RecordError, TokenConfig, parse_line
+from libopt.record import INFO_TOKEN, RecordError, TokenConfig, parse_line
 from libopt.store import Store, StoreReader
 
 
@@ -941,10 +945,185 @@ def test_write_outputs_holds_less_than_it_writes(tmp_path):
 # --- the columnar core ------------------------------------------------------
 
 
+def reference_select(spec, store, candidates=None, warn=None):
+    """``select`` as it was before its columns: a row of slots per problem,
+    each the tuple of the needed tokens' values (None for one absent);
+    its values are one dict per (problem, solver) of the tokens present."""
+    solvers, ptok = spec.solvers, spec.performance_token
+    tokens = (INFO_TOKEN, ptok, *(f.token for f in spec.problem_filters))
+    column = dict(zip(solvers, range(len(solvers))))
+    rows = {}
+    for (solver, collection, problem), _, values in store.entries(lambda k: k[0] in column, tokens):
+        row = rows.get((collection, problem))
+        if row is None:
+            row = rows[collection, problem] = [None] * len(solvers)
+        row[column[solver]] = values
+    problems, values = [], {}
+    for problem in sorted(rows) if candidates is None else candidates:
+        row = rows.get(problem)
+        if row is None or None in row or None in [slot[1] for slot in row]:
+            continue
+        if reference_passes(spec, problem, row, warn):
+            problems.append(problem)
+            for solver, slot in zip(solvers, row):
+                values[problem, solver] = {t: v for t, v in zip(tokens, slot) if v is not None}
+    return ResultTable(problems, list(solvers), values)
+
+
+def reference_passes(spec, problem, row, warn):
+    first, others = row[0], row[1:]
+    for at, filt in enumerate(spec.problem_filters, 2):
+        value = first[at]
+        if value is None or not filt.accepts(value):
+            return False
+        for slot in others:
+            if slot[at] is not None and slot[at] != value and warn is not None:
+                warn(f"token {filt.token!r} disagrees across solvers on {problem[0]}/{problem[1]}")
+    return True
+
+
+def reference_compute_ratios(table, ptok, rho_bar_override=None):
+    """``compute_ratios`` as it was before its columns: it reads each cell
+    as a dict, and its tau and rho are dicts keyed by (problem, solver)."""
+    if not table.problems:
+        raise ProfileError("no eligible problems")
+    problems, solvers, values = list(table.problems), list(table.solvers), table.values
+    tau_rows, bests, tops = [], [], []
+    for problem in problems:
+        cells = map(values.__getitem__, zip(repeat(problem), solvers))
+        row = [v[ptok] if v[INFO_TOKEN] == 0.0 else None for v in cells]
+        successes = [t for t in row if t is not None]
+        best = min(successes, default=None)
+        tau_rows.append(row)
+        bests.append(best)
+        if best is None:
+            continue
+        if best <= 0.0:
+            raw, s = next((t, s) for t, s in zip(row, solvers) if t is not None and t <= 0.0)
+            raise ProfileError(
+                f"nonpositive performance value {raw:.6g} for {s} on {problem[0]}/{problem[1]}"
+            )
+        tops.append(max(successes) / best)
+    max_finite = max(tops, default=None)
+    if max_finite is not None and not math.isfinite(max_finite):
+        problem, s = next(
+            (p, s) for p, row, best in zip(problems, tau_rows, bests) if best is not None
+            for s, t in zip(solvers, row) if t is not None and math.isinf(t / best)
+        )
+        raise ProfileError(f"performance ratio of {s} on {problem[0]}/{problem[1]} is not finite")
+    if rho_bar_override is not None:
+        if max_finite is not None and rho_bar_override <= max_finite:
+            raise ProfileError(
+                f"rho_max {rho_bar_override:.6g} does not exceed the"
+                f" largest finite ratio {max_finite:.6g}"
+            )
+        rho_bar = rho_bar_override
+    else:
+        rho_bar = max(2.0, 2.0 * max_finite) if max_finite is not None else 2.0
+        if not math.isfinite(rho_bar):
+            raise ProfileError(
+                f"the default plateau, twice the largest ratio {max_finite:.6g},"
+                " is not finite: set rho_max to a plateau above that ratio"
+            )
+    tau = {(p, s): t for p, row in zip(problems, tau_rows) for s, t in zip(solvers, row)}
+    rho = {
+        (p, s): rho_bar if t is None else t / best
+        for p, row, best in zip(problems, tau_rows, bests) for s, t in zip(solvers, row)
+    }
+    return RatioMatrix(problems, solvers, tau, rho, rho_bar)
+
+
+# values that reach the edges of the ratio rules: zero and negative
+# (nonpositive), 1e308 and 1e-308 (ratios and plateaus that overflow)
+EDGE_VALUES = [0.0, -1.0, 1e308, 1e-308]
+PLAIN_VALUES = [1.0, 2.0, 3.0, 0.5, 7.0, 12.0]
+
+
+@st.composite
+def stores_and_specs(draw):
+    """A store text of 5 solvers (one tagged) on 2 x 4 problems, with
+    entries and tokens absent at random, and a spec of 2-4 of them, with
+    filters, a candidate list and rho_max drawn or not. In half of the
+    stores, one value in twenty is an edge value."""
+    edgy = draw(st.booleans())
+
+    def value():
+        return draw(st.sampled_from(EDGE_VALUES if edgy and draw(st.integers(0, 19)) == 0 else PLAIN_VALUES))
+
+    pool = ["a", "b.v2", "c", "d", "e"]
+    problems = [(c, f"p{i}") for c in ("c1", "c2") for i in range(4)]
+    lines = []
+    for solver in pool:
+        for collection, problem in problems:
+            if draw(st.integers(0, 11)) == 0:
+                continue  # no result
+            pairs = {"info": draw(st.sampled_from([0.0, 0.0, 0.0, 1.0, -1.0]))}
+            pairs.update((t, value()) for t in ("nfc", "n", "m") if draw(st.integers(0, 9)))
+            pairs.setdefault("x", 1.0)  # a result has two pairs at least
+            order = draw(st.permutations(list(pairs)))
+            lines.append(f"{solver}%{collection}%{problem}" + "".join(f"%{t}={pairs[t]!r}" for t in order))
+    solvers = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=4, unique=True))
+    spec = [f"solver {' '.join(solvers)}", f"performance {draw(st.sampled_from(['nfc', 'n']))}"]
+    for _ in range(draw(st.integers(0, 2))):
+        relation = draw(st.sampled_from(sorted(RELATIONS)))
+        spec.append(f"problem {draw(st.sampled_from(['n', 'm']))} {relation} {value()!r}")
+    rho_max = draw(st.sampled_from([None, 1.5, 2.0, 10.0, 1e308]))
+    if rho_max is not None:
+        spec.append(f"rho_max {rho_max!r}")
+    candidates = draw(st.none() | st.lists(st.sampled_from([*problems, ("c3", "p0")]), unique=True))
+    return "".join(line + "\n" for line in sorted(lines)), "\n".join(spec) + "\n", candidates
+
+
+def outcome(call):
+    """The result of ``call()``, or the text of the ProfileError it raises."""
+    try:
+        return call(), None
+    except ProfileError as exc:
+        return None, str(exc)
+
+
+PAIR_SPEC = "solver a b\nperformance nfc\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(stores_and_specs())
+# each error of the ratio rules: nonpositive, a ratio and a default plateau
+# that overflow, a rho_max too low
+@example(("a%c%p%info=0%nfc=0\nb%c%p%info=0%nfc=2\n", PAIR_SPEC, None))
+@example((
+    "a%c%p1%info=0%nfc=1e-308\na%c%p2%info=0%nfc=1e+308\n"
+    "b%c%p1%info=0%nfc=1e+308\nb%c%p2%info=0%nfc=1e-308\n", PAIR_SPEC, None,
+))
+@example(("a%c%p%info=0%nfc=1\nb%c%p%info=0%nfc=1e+308\n", PAIR_SPEC, None))
+@example(("a%c%p%info=0%nfc=1\nb%c%p%info=0%nfc=7\n", PAIR_SPEC + "rho_max 2\n", None))
+def test_the_columnar_core_matches_the_dict_reference(case):
+    store_text, spec_text, candidates = case
+    spec = parse_spec(spec_text)
+    ptok, override = spec.performance_token, spec.rho_bar_override
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "dtbopt"
+        path.write_text(store_text)
+        got_warnings, want_warnings = [], []
+        got = select(spec, StoreReader(path), candidates, got_warnings.append)
+        want = reference_select(spec, StoreReader(path), candidates, want_warnings.append)
+    assert (got.problems, got.solvers) == (want.problems, want.solvers)
+    assert dict(got.values) == want.values
+    assert got_warnings == want_warnings
+    matrix, error = outcome(lambda: compute_ratios(got, ptok, override))
+    expected, expected_error = outcome(lambda: reference_compute_ratios(want, ptok, override))
+    # a table of dicts goes through the same columns
+    assert outcome(lambda: compute_ratios(want, ptok, override))[1] == error == expected_error
+    if expected is None:
+        return
+    assert matrix.problems == expected.problems and matrix.rho_bar == expected.rho_bar
+    assert dict(matrix.tau) == expected.tau and dict(matrix.rho) == expected.rho
+    assert compute_profiles(matrix) == bisect_profiles(expected)
+
+
 def test_the_profile_core_holds_little_per_stored_entry(tmp_path):
     # 8 solvers x 2,000 problems read from a store file: the table keeps one
-    # slot of the needed values per entry and the matrix one column per
-    # solver, not a dict per entry and dicts keyed by (problem, solver)
+    # C double per needed value and the matrix one column per solver, not
+    # a tuple per entry, dicts keyed by (problem, solver) or by grid point
     rng = random.Random(3)
     solvers = [f"s{i}" for i in range(8)]
     lines = [
@@ -962,5 +1141,30 @@ def test_the_profile_core_holds_little_per_stored_entry(tmp_path):
     finally:
         tracemalloc.stop()
     assert len(profiles) == 8
-    # slots trace about 270 B per entry here, a dict per entry about 600 B
-    assert peak / len(lines) < 350
+    # columns trace about 85 B per entry here, a tuple per entry about 190 B
+    assert peak / len(lines) < 120
+
+
+def test_entries_outside_the_candidate_list_cost_no_memory(tmp_path):
+    # a pair-shaped call: 2 of 8 solvers on 100 listed problems. A store
+    # with 20 times the entries, all outside the list, traces no more
+    rng = random.Random(5)
+    solvers = [f"s{i}" for i in range(8)]
+    listed = [("c", f"p{p:05d}") for p in range(0, 2000, 20)]
+    peaks = []
+    for problems in (range(0, 2000, 20), range(2000)):
+        path = tmp_path / f"dtbopt{len(problems)}"
+        path.write_text("".join(
+            f"{s}%c%p{p:05d}%nfc={rng.randint(1, 5000)}%info=0\n" for s in solvers for p in problems
+        ))
+        spec = parse_spec("solver s2 s5\nperformance nfc\n")
+        tracemalloc.start()
+        try:
+            table = select(spec, StoreReader(path), listed)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert table.problems == listed
+    # a row for every problem of the two solvers traced about 50 B per
+    # entry of the store; here it is under 0.01 B
+    assert (peaks[1] - peaks[0]) / (8 * (2000 - 100)) < 1
