@@ -40,12 +40,33 @@ ALIASES = {
     "runopt": "run",
     "addopt": "add",
     "perfopt": "profile",
-    "install_libopt": "install",
 }
 
 
 def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
+
+
+def _write(stream, text: str) -> None:
+    """Write ``text`` to a standard stream and flush it; a closed one
+    (None) fails as a closed fd would."""
+    if stream is None:
+        raise CLOSED
+    stream.write(text)
+    stream.flush()
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse drops a failed write of its help, version or usage: here
+    it fails as a write to any standard stream does."""
+
+    def _print_message(self, message: str, file=None) -> None:
+        file = file or sys.stderr  # argparse's own choice of stream
+        if message:
+            try:
+                _write(file, message)
+            except OSError as exc:
+                raise OutputError(exc) if file is sys.stdout else exc
 
 
 def _to_devnull(stream) -> None:
@@ -224,7 +245,7 @@ def cmd_install(args: argparse.Namespace) -> int:
 
 
 def build_parser(prog: str = "libopt") -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog=prog,
         description="run solvers on problem collections, gather result lines,"
         " and compare solvers with performance profiles",
@@ -279,22 +300,21 @@ def main(argv: list[str] | None = None, prog: str | None = None) -> int:
         argv = [alias, *argv]
         prog = "libopt"
     parser = build_parser(prog)
+    gc_was_enabled = gc.isenabled()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse exits 0 for -h, 2 for usage errors
-        return int(exc.code or 0)
-    # No cyclic-GC passes while a handler runs: the stores and tables it
-    # builds are large and acyclic, so a pass would only rescan them.
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
+        # No cyclic-GC passes while a handler runs: the stores and tables it
+        # builds are large and acyclic, so a pass would only rescan them.
+        gc.disable()
         return args.handler(args)
+    except SystemExit as exc:  # argparse exits 0 for -h and --version, 2 for usage errors
+        return int(exc.code or 0)
     except (LiboptError, OSError) as exc:
         # one error line and exit 2, whatever failed: never raise again
         if isinstance(exc, OutputError):
             _to_devnull(sys.stdout)
         try:
-            print(f"error: {exc}", file=sys.stderr, flush=True)
+            _write(sys.stderr, f"error: {exc}\n")
         except OSError:
             _to_devnull(sys.stderr)
         return EXIT_USAGE

@@ -6,9 +6,10 @@ Each line's outcome comes from the keys the scan met: a key read before,
 in the store or earlier in the file, is present (a duplicate, or
 replaced with ``-r``), any other is added. Only a store out of order,
 which only a hand edit makes, is read whole: its rows are sorted, then
-merged the same way. Its duplicate error is the scan's, as for every
-reader: the rows before the first key out of order ascend, so none
-repeats, and from that key on the scan checks a set. The errors come as
+merged the same way. That read is a scan in set mode from the start, so
+the store's head, read twice by the scan that met the key out of order,
+is read three times in all. Its duplicate error is the scan's, as for
+every reader, the first in file order. The errors come as
 if the whole store were read first: a store error (a corrupt line, a
 duplicate key, a byte that does not decode) wins over a result or
 selection file that cannot be read or holds a bad line, and over a
@@ -132,7 +133,7 @@ def _update(
     try:
         write(merged(_scan(path)))
     except _Unsorted:
-        write(merged(sorted((key, pairs, None) for key, pairs, _ in _scan(path))))
+        write(merged(sorted((key, pairs, None) for key, pairs, _ in _scan(path, set()))))
     return found
 
 

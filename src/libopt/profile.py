@@ -18,10 +18,11 @@ whose value at 1 is the fraction of problems where s is best, and whose
 value just below rho_bar is the fraction of problems s solves at all.
 
 The data is held in columns of C doubles (``array('d')``), 8 bytes per
-value, with NaN for a token an entry lacks or a failed run: store values
-are finite, so NaN is no real value. ``select`` keeps one column per token
-it reads (``info``, the performance token, each filter token), the cell of
-(problem row, solver) at row * solvers + solver. ``compute_ratios`` keeps
+value, with NaN for a token an entry lacks (as the store reads it) and
+for a failed run: store values are finite, so NaN is no real value.
+``select`` keeps one column per token it reads (``info``, the
+performance token, each filter token), the cell of (problem row,
+solver) at row * solvers + solver. ``compute_ratios`` keeps
 tau and rho as one column per solver, in problem order. A ``ColumnView``
 reads either as a mapping keyed by (problem, solver), equal to the dict
 it stands for. All profiles share one grid, an array of 1, every distinct
@@ -297,12 +298,10 @@ def select(
             for cells in columns:
                 cells += blank
         at = row * width + column[solver]
-        info[at] = values[0]  # every entry has one
-        if values[1] is not None:
-            perf[at] = values[1]
+        # NaN for a token the entry lacks; every entry has info
+        info[at], perf[at] = values[0], values[1]
         for cells, value in zip(filtered, values[2:]) if filtered else ():
-            if value is not None:
-                cells[at] = value
+            cells[at] = value
     # a row is whole with an entry per solver, each with the performance token
     holes = {at // width for at in compress(count(), map(math.isnan, perf))}
     problems, kept = [], []

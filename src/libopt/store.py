@@ -21,14 +21,16 @@ An ``import_file`` that fails so may leave the ``Store`` partly changed.
 The scan holds the one duplicate rule of ``Store.open``, ``StoreReader``
 and ``add``: while the keys ascend, as ``save`` writes them, a key is
 checked against the one before it (no key set is held), and from the
-first key out of order on against a set of the keys read, which a
-re-read of the lines before it fills. ``Store.open`` keeps, per key text,
-the canonical pairs text ``%token=number...``; ``StoreReader``, which
+first key out of order on against a set of the keys read. There the
+scan seeks its one handle back to the start and fills the set from the
+lines before, yielding none twice: a reader sees one file, even when an
+``add`` renames another over the path. ``Store.open`` keeps, per key
+text, the canonical pairs text ``%token=number...``; ``StoreReader``, which
 ``profile`` reads, keeps no entry. Both have the one reader
 ``entries(match, tokens)``: the entries whose key ``match`` accepts, each
 from one split of its pairs text (for ``StoreReader``, the scan's own).
 With ``tokens`` it is the one projection: each entry's values come in
-the order of ``tokens``, None for a token it lacks, worked out once per
+the order of ``tokens``, NaN for a token it lacks, worked out once per
 token layout. ``query()`` is its sorted view. No name holds a '%', so
 ``key_text.split("%")`` is the key's triple. A record that ``add`` or
 ``import_file`` inserts is formatted once, on insert; a result line's
@@ -46,6 +48,7 @@ import os
 from collections import deque
 from contextlib import contextmanager, suppress
 from itertools import chain, compress, islice, repeat
+from math import nan
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -92,17 +95,20 @@ class StoreKey(NamedTuple):
         return f"{self.solver_with_tag}%{self.collection}%{self.problem}"
 
 
-def _scan(path: Path | str, stop: int | None = None) -> Iterator[tuple[str, str, list[str]]]:
-    """(key text, pairs text, split items) of each entry in the first
-    ``stop`` lines (all by default) of a store file; a missing file has
-    none. A corrupt entry, or a key read before, raises StoreError naming
-    the line: a key is checked against the one before it while the keys
-    ascend, and from the first key out of order on against a set."""
+def _scan(path: Path | str, seen: set[str] | None = None) -> Iterator[tuple[str, str, list[str]]]:
+    """(key text, pairs text, split items) of each entry of a store file,
+    read through one handle; a missing file has none. A corrupt entry, or
+    a key read before, raises StoreError naming the line: a key is checked
+    against the one before it while the keys ascend, and in set mode (from
+    the start when given ``seen``) against the set of keys read. The first
+    key out of order rewinds the handle: set mode reads again the lines
+    before it, which are not yielded again."""
     if not Path(path).exists():
         return
     with open_text(path, "store", StoreError) as handle:
-        previous, seen = "", None
-        for lineno, match in enumerate(map(ENTRY_RE.match, islice(handle, stop)), 1):
+        previous, lineno, done = "", 0, 0  # done: the lines yielded before a rewind
+        for match in map(ENTRY_RE.match, handle):
+            lineno += 1
             key_text, pairs, line = match.groups()
             try:
                 if pairs is None:
@@ -115,21 +121,24 @@ def _scan(path: Path | str, stop: int | None = None) -> Iterator[tuple[str, str,
             except RecordError as exc:
                 raise StoreError(f"{path}:{lineno}: corrupt entry: {exc}") from exc
             if seen is None and key_text < previous:
-                # the lines before ascend: no key repeats among them
-                seen = {row[0] for row in _scan(path, lineno - 1)}
+                # rewind: set mode reads the lines before again, into the set
+                handle.seek(0)
+                seen, previous, lineno, done = set(), "", 0, lineno - 1
+                continue
             if key_text == previous or seen is not None and key_text in seen:
                 raise StoreError(f"{path}:{lineno}: duplicate key {key_text}")
             if seen is not None:
                 seen.add(key_text)
             previous = key_text
-            yield key_text, pairs, items
+            if lineno > done:
+                yield key_text, pairs, items
 
 
 def _read(
     rows: Iterable[tuple[str, str, list[str] | None]],
     match: Callable[[list[str]], bool],
     tokens: tuple[str, ...] | None,
-) -> Iterator[tuple[list[str], tuple[str, ...], tuple[float | None, ...]]]:
+) -> Iterator[tuple[list[str], tuple[str, ...], tuple[float, ...]]]:
     """``Store.entries`` of rows (key text, pairs text, its split items or
     None); the items read and their order are worked out once per layout."""
     picks: dict[tuple[str, ...], tuple] = {}
@@ -145,14 +154,14 @@ def _read(
             names = layout if tokens is None else tokens
             read = [t in names for t in layout]
             mask = [False, *chain.from_iterable((False, r) for r in read)]
-            # a token the layout lacks reads the None put after the values
+            # a token the layout lacks reads the NaN put after the values
             held = list(compress(layout, read))
             at = [held.index(t) if t in held else len(held) for t in names]
             # at is [0] for one token, [] for none: a slice keeps a tuple
             get = itemgetter(*at) if len(at) > 1 else itemgetter(slice(len(at)))
             pick = picks[layout] = names, mask, get
         names, mask, get = pick
-        yield key, names, get((*map(float, compress(items, mask)), None))
+        yield key, names, get((*map(float, compress(items, mask)), nan))
 
 
 class Selection(NamedTuple):
@@ -276,13 +285,13 @@ class Store:
         self,
         match: Callable[[list[str]], bool],
         tokens: tuple[str, ...] | None = None,
-    ) -> Iterator[tuple[list[str], tuple[str, ...], tuple[float | None, ...]]]:
+    ) -> Iterator[tuple[list[str], tuple[str, ...], tuple[float, ...]]]:
         """(key, tokens, values) of every entry whose split key text, the
         list [solver[.tag], collection, problem], ``match`` accepts, in no
         particular order, each from one split of its pairs text. Without
         ``tokens`` every pair is read, and the entries of one token layout
         share one tokens tuple; with ``tokens``, that tuple comes back, and
-        the values in its order, None for a token the entry lacks."""
+        the values in its order, NaN for a token the entry lacks."""
         entries = self._entries
         return _read(zip(entries, entries.values(), repeat(None)), match, tokens)
 
@@ -338,7 +347,7 @@ class StoreReader(NamedTuple):
         self,
         match: Callable[[list[str]], bool],
         tokens: tuple[str, ...] | None = None,
-    ) -> Iterator[tuple[list[str], tuple[str, ...], tuple[float | None, ...]]]:
+    ) -> Iterator[tuple[list[str], tuple[str, ...], tuple[float, ...]]]:
         return _read(_scan(self.path), match, tokens)
 
 

@@ -199,22 +199,37 @@ def test_run_whose_stdout_fails_stops_and_exits_two(env, monkeypatch, capsys, ex
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-def test_run_into_a_full_device_ends_in_one_line(env):
-    # a real process: Python's own flush of stdout at exit must stay quiet
-    _, wd = env
+def into_a_full_device(wd, argv, stdin=None):
+    """``libopt argv`` in a real process whose standard output is /dev/full."""
     src = str(Path(libopt.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     with open("/dev/full", "w") as full:
-        done = subprocess.run(
-            [sys.executable, "-m", "libopt.cli", "run"],
+        return subprocess.run(
+            [sys.executable, "-m", "libopt.cli", *argv],
             cwd=wd,
             env={**os.environ, "PYTHONPATH": path},
-            input="fakea toys\n",
+            input=stdin,
             stdout=full,
             stderr=subprocess.PIPE,
             text=True,
             timeout=60,
         )
+
+
+def test_run_into_a_full_device_ends_in_one_line(env):
+    # a real process: Python's own flush of stdout at exit must stay quiet
+    _, wd = env
+    done = into_a_full_device(wd, ["run"], "fakea toys\n")
+    assert done.returncode == 2
+    assert done.stderr == "error: cannot write standard output: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--version"]], ids=["help", "version"])
+def test_help_or_version_into_a_full_device_exits_two(env, argv):
+    # argparse's own writer drops a failed write; the text sits in the
+    # buffer until the flush, which must fail before main returns 0
+    _, wd = env
+    done = into_a_full_device(wd, argv)
     assert done.returncode == 2
     assert done.stderr == "error: cannot write standard output: [Errno 28] No space left on device\n"
 
@@ -276,7 +291,7 @@ class FailingAfter(io.StringIO):
 
 STREAM_CALLS = [
     ["run"], ["run", "-v"], ["add", "r.lbt"], ["add", "-r", "r.lbt"], ["add", "-d", "fakea%", "-v"],
-    ["profile", "-v"], ["install", "-v"], ["install", "-t"], ["-h"], ["--no-such-option"],
+    ["profile", "-v"], ["install", "-v"], ["install", "-t"], ["-h"], ["--version"], ["--no-such-option"],
 ]
 
 
@@ -294,10 +309,19 @@ STREAM_CALLS = [
 @example(argv=["run", "-v"], name="stderr", exc=NO_SPACE, k=50, sticky=False, closed=None)
 @example(argv=["install", "-v"], name="stderr", exc=NO_SPACE, k=50, sticky=False, closed=None)
 @example(argv=["run"], name="stderr", exc=NO_SPACE, k=1000, sticky=True, closed="stdout")
+# help and version go to standard error when standard output is closed
+@example(argv=["-h"], name="stderr", exc=BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE)),
+         k=0, sticky=True, closed="stdout")
+@example(argv=["--version"], name="stderr", exc=NO_SPACE, k=0, sticky=True, closed="stdout")
+@example(argv=["-h"], name="stdout", exc=NO_SPACE, k=0, sticky=True, closed=None)
+@example(argv=["--version"], name="stdout", exc=NO_SPACE, k=0, sticky=True, closed=None)
+# the usage goes to standard output, the error line to a closed standard error
+@example(argv=["--no-such-option"], name="stdout", exc=NO_SPACE, k=1000, sticky=True, closed="stderr")
 def test_no_failing_standard_stream_escapes_main(env, argv, name, exc, k, sticky, closed):
     # whatever the call and wherever the stream fails, main returns; a
-    # failed standard error, or a failed stdout of run, exits 2. A closed
-    # stream (`<&-`, `>&-`) is None; run exits 2 on a closed stdin or stdout
+    # failed standard error, or a failed stdout of run, -h or --version,
+    # exits 2. A closed stream (`<&-`, `>&-`) is None; run exits 2 on a
+    # closed stdin or stdout
     _, wd = env
     (wd / "dtbopt").write_text("fakea%toys%alpha%info=0%nfc=1\nfakeb%toys%alpha%info=0%nfc=2\n")
     (wd / "r.lbt").write_text(
@@ -315,7 +339,7 @@ def test_no_failing_standard_stream_escapes_main(env, argv, name, exc, k, sticky
     finally:
         sys.stdin, sys.stdout, sys.stderr = saved
     assert code in (0, 1, 2)
-    if stream.failed and (name == "stderr" or argv[0] == "run"):
+    if stream.failed and (name == "stderr" or argv[0] in ("run", "-h", "--version")):
         assert code == 2
     if closed in ("stdin", "stdout") and argv[0] == "run":
         assert code == 2

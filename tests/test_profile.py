@@ -954,6 +954,7 @@ def reference_select(spec, store, candidates=None, warn=None):
     column = dict(zip(solvers, range(len(solvers))))
     rows = {}
     for (solver, collection, problem), _, values in store.entries(lambda k: k[0] in column, tokens):
+        values = tuple(None if math.isnan(v) else v for v in values)  # the store's NaN: absent
         row = rows.get((collection, problem))
         if row is None:
             row = rows[collection, problem] = [None] * len(solvers)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import os
 import re
 import shutil
 import tracemalloc
@@ -11,6 +12,8 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from libopt.errors import open_text
+from libopt.merge import delete_from
 from libopt.record import (
     ENTRY_RE,
     LiboptRecord,
@@ -426,16 +429,19 @@ def test_entries_of_one_token_layout_share_one_tokens_tuple(tmp_path):
     assert first is second
 
 
+NAN = math.nan
+
+
 @pytest.mark.parametrize("reader", [Store.open, StoreReader])
 @pytest.mark.parametrize(
     "tokens,want",
     [
         # a repeated token is read twice; p3 lacks nfc, the performance token
         (("nfc", "info", "n", "nfc"),
-         {"p1": (2.0, 0.0, 1.0, 2.0), "p2": (3.0, 1.0, None, 3.0), "p3": (None, 0.0, 4.0, None)}),
+         {"p1": (2.0, 0.0, 1.0, 2.0), "p2": (3.0, 1.0, NAN, 3.0), "p3": (NAN, 0.0, 4.0, NAN)}),
         # one token: still a tuple, over three layouts
-        (("n",), {"p1": (1.0,), "p2": (None,), "p3": (4.0,)}),
-        (("x", "y"), {"p1": (None, None), "p2": (None, None), "p3": (None, None)}),
+        (("n",), {"p1": (1.0,), "p2": (NAN,), "p3": (4.0,)}),
+        (("x", "y"), {"p1": (NAN, NAN), "p2": (NAN, NAN), "p3": (NAN, NAN)}),
         ((), {"p1": (), "p2": (), "p3": ()}),
     ],
     ids=["repeated-and-missing", "one-token", "none-held", "no-token"],
@@ -446,7 +452,8 @@ def test_entries_with_tokens_give_values_in_token_order(tmp_path, reader, tokens
         "a%c%p1%info=0%n=1%nfc=2\na%c%p2%nfc=3%info=1\na%c%p3%info=0%n=4\nb%c%p1%info=0%n=9\n"
     )
     got = list(reader(path).entries(lambda key: key[0] == "a", tokens))
-    assert {key[2]: values for key, _, values in got} == want
+    # reprs are equal where the values are, and NaN's is "nan"
+    assert {key[2]: repr(values) for key, _, values in got} == {p: repr(v) for p, v in want.items()}
     # the tokens tuple asked for is every entry's names
     assert all(names is tokens for _, names, _ in got)
 
@@ -708,6 +715,58 @@ def test_open_checks_keys_in_any_order(tmp_path, problems):
     path = tmp_path / "dtbopt"
     path.write_text("".join(f"s%c%{p}%info=0%n={i}\n" for i, p in enumerate(problems)))
     assert opened(path) == reference_open(path)
+
+
+def test_a_scan_reads_the_file_it_opened(tmp_path):
+    # profile reads without the lock: an add may rename a sorted store over
+    # the path while a scan of the reversed one is under way
+    path = tmp_path / "dtbopt"
+    lines = [f"s%c%p{i}%info=0%n={i}\n" for i in range(5)]
+    path.write_text("".join(reversed(lines)))
+    (tmp_path / "new").write_text("".join(lines))
+    renamed = []
+
+    def match(key):
+        if not renamed:
+            renamed.append(os.replace(tmp_path / "new", path))
+        return True
+
+    got = ["%".join(key) for key, _, _ in StoreReader(path).entries(match)]
+    assert got == [line.split("%info")[0] for line in reversed(lines)]
+
+
+@pytest.fixture
+def opens(monkeypatch):
+    """The store files opened, one item per open."""
+    paths = []
+
+    def counted(path, *args):
+        paths.append(path)
+        return open_text(path, *args)
+
+    monkeypatch.setattr("libopt.store.open_text", counted)
+    return paths
+
+
+@pytest.mark.parametrize(
+    "reader", [Store.open, lambda path: list(StoreReader(path).entries(lambda key: True))],
+    ids=["Store.open", "StoreReader"],
+)
+def test_a_store_out_of_order_is_opened_once(tmp_path, opens, reader):
+    path = tmp_path / "dtbopt"
+    path.write_text("".join(f"s%c%p{i}%info=0%n={i}\n" for i in reversed(range(5))))
+    reader(path)
+    assert opens == [path]
+
+
+def test_delete_on_two_keys_swapped_opens_the_store_twice(tmp_path, opens):
+    # the merge's scan meets the swap, then a scan in set mode reads it whole
+    path = tmp_path / "dtbopt"
+    keys = [f"p{i:02}" for i in range(20)]
+    keys[17], keys[18] = keys[18], keys[17]
+    path.write_text("".join(f"s%c%{k}%info=0%n=1\n" for k in keys))
+    assert delete_from(path, Selection(solver="z"), save=False) == (0, 0)
+    assert opens == [path, path]
 
 
 @pytest.mark.parametrize("flag", [[], ["-r"], ["-d"]], ids=["add", "add-r", "add-d"])
