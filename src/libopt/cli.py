@@ -58,7 +58,12 @@ def _write(stream, text: str) -> None:
 
 class _Parser(argparse.ArgumentParser):
     """argparse drops a failed write of its help, version or usage: here
-    it fails as a write to any standard stream does."""
+    it fails as a write to any standard stream does. The usage of a usage
+    error goes to standard error only: argparse would send it to standard
+    output when standard error is closed."""
+
+    def print_usage(self, file=None) -> None:
+        self._print_message(self.format_usage(), sys.stderr)
 
     def _print_message(self, message: str, file=None) -> None:
         file = file or sys.stderr  # argparse's own choice of stream
@@ -181,8 +186,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
         gather_candidate_problems,
         parse_spec,
         select,
-        write_outputs,
     )
+    from .plot import write_outputs
     from .store import StoreReader
 
     startup = load_startup(args.config)

@@ -26,13 +26,11 @@ solver) at row * solvers + solver. ``compute_ratios`` keeps
 tau and rho as one column per solver, in problem order. A ``ColumnView``
 reads either as a mapping keyed by (problem, solver), equal to the dict
 it stands for. All profiles share one grid, an array of 1, every distinct
-finite ratio, and rho_bar. A ``StepFunction`` keeps only its steps, in
-arrays: the sorted grid indices where its count of problems rises and the
-value from each on. One writer, ``_write_plots``, streams both plot files:
-it formats the grid once, into one string of x texts and an array of their
-offsets, then cuts each profile into constant-y segments, each one
-``str.replace`` over its slice of that string. ``emit_gnuplot`` and
-``emit_matlab`` run it into a string.
+finite ratio, and rho_bar, taken from one sort of every ratio. A
+``StepFunction`` keeps only its steps, in arrays: the sorted grid indices
+where its count of problems rises and the value from each on. The
+``plot`` module holds the one writer of both plot files;
+``emit_gnuplot`` and ``emit_matlab`` run it into a string.
 """
 from __future__ import annotations
 
@@ -43,9 +41,9 @@ from array import array
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Mapping
-from itertools import accumulate, chain, compress, count, product, repeat
+from itertools import accumulate, chain, compress, count, groupby, product, repeat
 from pathlib import Path
-from typing import Callable, NamedTuple, TextIO
+from typing import Callable, NamedTuple
 
 from .errors import LiboptError, content_lines
 from .record import INFO_TOKEN, NUMBER_RE, TokenConfig, check_name, read_list, split_collection_field, split_solver_field
@@ -289,12 +287,13 @@ def select(
     blank = array("d", [math.nan]) * width
     columns = [blank * len(rows) for _ in tokens]
     info, perf, *filtered = columns
+    names: dict[str, str] = {}  # the rows of one collection share its name
     for (solver, collection, problem), _, values in store.entries(
         lambda k: k[0] in column and (candidates is None or (k[1], k[2]) in rows), tokens
     ):
         row = rows.get((collection, problem))
         if row is None:
-            row = rows[collection, problem] = len(rows)
+            row = rows[names.setdefault(collection, collection), problem] = len(rows)
             for cells in columns:
                 cells += blank
         at = row * width + column[solver]
@@ -304,7 +303,7 @@ def select(
             cells[at] = value
     # a row is whole with an entry per solver, each with the performance token
     holes = {at // width for at in compress(count(), map(math.isnan, perf))}
-    problems, kept = [], []
+    problems, kept = [], array("q")
     for problem in sorted(rows) if candidates is None else rows:
         if rows[problem] in holes:
             continue
@@ -320,7 +319,11 @@ def select(
         else:
             problems.append(problem)
             kept.append(at)
-    columns = [array("d", chain.from_iterable(c[at:at + width] for at in kept)) for c in columns]
+    # the kept rows, a column at a time: each old column goes before the
+    # next is copied
+    del rows, holes, info, perf, filtered
+    for k, cells in enumerate(columns):
+        columns[k] = array("d", chain.from_iterable(cells[at:at + width] for at in kept))
     return ResultTable(problems, solvers, ColumnView(problems, solvers, columns, tokens))
 
 
@@ -352,12 +355,13 @@ def compute_ratios(table: ResultTable, ptok: str, rho_bar_override: float | None
         info, perf = values.columns[:2]
     else:  # a table of dicts: its columns, read once
         cells = [values[cell] for cell in product(problems, solvers)]
-        info, perf = ([c.get(t, math.nan) for c in cells] for t in (INFO_TOKEN, ptok))
+        info, perf = (array("d", [c.get(t, math.nan) for c in cells]) for t in (INFO_TOKEN, ptok))
     width = len(solvers)
-    # per solver, tau (NaN for a failure); per problem, the best tau (inf
-    # for none): a NaN, min's second argument, never wins
-    taus = [array("d", [t if i == 0.0 else math.nan for t, i in zip(perf[s::width], info[s::width])])
-            for s in range(width)]
+    # per solver, tau (NaN for a failure: info other than 0); per problem,
+    # the best tau (inf for none): a NaN, min's second argument, never wins
+    taus = [perf[s::width] for s in range(width)]
+    for at in compress(count(), info):
+        taus[at % width][at // width] = math.nan
     bests = array("d", [math.inf]) * len(problems)
     for tau in taus:
         bests = array("d", map(min, bests, tau))
@@ -387,8 +391,11 @@ def compute_ratios(table: ResultTable, ptok: str, rho_bar_override: float | None
                 " to a plateau above that ratio"
             )
 
-    rho = [array("d", [rho_bar if math.isnan(r) else r for r in column]) for column in ratios]
-    tau_view, rho_view = ColumnView(problems, solvers, taus), ColumnView(problems, solvers, rho)
+    # rho is the ratio columns, a failure's NaN set to rho_bar in place
+    for column in ratios:
+        for k in compress(count(), map(math.isnan, column)):
+            column[k] = rho_bar
+    tau_view, rho_view = ColumnView(problems, solvers, taus), ColumnView(problems, solvers, ratios)
     return RatioMatrix(problems, solvers, tau_view, rho_view, rho_bar)
 
 
@@ -437,16 +444,14 @@ def compute_profiles(matrix: RatioMatrix) -> list[StepFunction]:
     in the grid by bisection). Its failures are its ratios at rho_bar.
     """
     total, rho_bar = len(matrix.problems), matrix.rho_bar
-    # every finite ratio lies below rho_bar, which marks the failures
-    points = {1.0, *chain.from_iterable(matrix.rho.columns)}
-    points.discard(rho_bar)
-    points = sorted(points)  # bisected below: a list holds its floats
-    points.append(rho_bar)
-    grid, profiles = array("d", points), []
+    # one sort of every ratio, with 1 and rho_bar, which lies above every
+    # finite ratio and marks the failures; the grid keeps each value once
+    grid = array("d", map(operator.itemgetter(0), groupby(sorted(chain((1.0, rho_bar), *matrix.rho.columns)))))
+    profiles = []
     for s, rho in zip(matrix.solvers, matrix.rho.columns):
         hits = Counter(rho)
         ratios = sorted(hits)
-        starts = array("q", [bisect_left(points, r) for r in ratios])
+        starts = array("q", [bisect_left(grid, r) for r in ratios])
         values = array("d", [n / total for n in accumulate(map(hits.__getitem__, ratios))])
         if starts[0] != 0:
             starts.insert(0, 0)
@@ -459,60 +464,10 @@ def compute_profiles(matrix: RatioMatrix) -> list[StepFunction]:
 format_ratio = "{:.6g}".format
 
 
-def _write_plots(profiles: list[StepFunction], log_scale: bool, gnu: TextIO | None, m: TextIO | None) -> None:
-    """Write the Gnuplot data of the profiles to ``gnu`` and their Matlab
-    script to ``m`` (see the module docstring); either may be None."""
-    label = "log2(performance ratio)" if log_scale else "performance ratio"
-    if gnu is not None:
-        gnu.write(f"# performance profile data\n# x: {label}, y: fraction of problems\n")
-    if m is not None:
-        m.write("% performance profile data\n")
-        if not profiles:
-            m.write("error('no eligible problems: nothing to plot');\n")
-            return
-    # by id: each grid stays alive with its profiles for the whole call;
-    # its x texts in one string, and the offset of each in it
-    x_texts: dict[int, tuple[str, array]] = {}
-    axis = ""
-    for i, profile in enumerate(profiles, 1):
-        grid, starts, values = profile.steps
-        if id(grid) not in x_texts:
-            # format_ratio's texts, each ended by "\n"
-            xs = list(map("{:.6g}\n".format, map(math.log2, grid) if log_scale else grid))
-            x_texts[id(grid)] = "".join(xs), array("q", accumulate(map(len, xs), initial=0))
-            del xs
-        text, at = x_texts[id(grid)]
-        if grid and not axis:  # the x range of the first profile with points
-            axis = f"axis([{text[:at[1] - 1]} {text[at[-2]:-1]} 0 1]);\n"
-        ys = [f" {y}\n" for y in map(format_ratio, values)]
-        # a segment of constant y: the rows of its slice of the grid; both
-        # files take 256 segments a write
-        offsets = [*map(at.__getitem__, starts), len(text)]
-        segments = [text[a:b].replace("\n", y) for a, b, y in zip(offsets, offsets[1:], ys)]
-        if gnu is not None:
-            # a blank line after the header, two between blocks; a jump row
-            # between segments repeats the previous value, so steps render
-            # as horizontal segments
-            rows = [None] * (2 * len(segments) - 1)
-            rows[::2] = segments
-            rows[1::2] = [text[a:at[s + 1] - 1] + y for a, s, y in zip(offsets[1:], starts[1:], ys)]
-            gnu.write(("\n" if i == 1 else "\n\n") + f"# solver {profile.solver}\n")
-            gnu.writelines("".join(rows[k:k + 512]) for k in range(0, len(rows), 512))
-        if m is not None:  # the rows indented
-            m.write(f"data{i} = [\n")
-            m.writelines(("  " + "".join(segments[k:k + 256])).replace("\n", "\n  ")[:-2]
-                         for k in range(0, len(segments), 256))
-            m.write("];\n")
-    if m is not None:
-        names = ", ".join("'" + p.solver.replace("'", "''") + "'" for p in profiles)
-        m.write("figure;\nhold on;\n")
-        m.writelines(f"stairs(data{i}(:,1), data{i}(:,2));\n" for i in range(1, len(profiles) + 1))
-        m.write(f"hold off;\nlegend({names}, 'Location', 'SouthEast');\nxlabel('{label}');\n")
-        m.write(f"ylabel('fraction of problems');\n{axis}")
-
-
 def emit_gnuplot(profiles: list[StepFunction], log_scale: bool = False) -> str:
     """Gnuplot data file: one block per solver, two blank lines between blocks."""
+    from .plot import _write_plots  # the one writer of plot files
+
     out = io.StringIO()
     _write_plots(profiles, log_scale, out, None)
     return out.getvalue()
@@ -520,17 +475,8 @@ def emit_gnuplot(profiles: list[StepFunction], log_scale: bool = False) -> str:
 
 def emit_matlab(profiles: list[StepFunction], log_scale: bool = False) -> str:
     """Matlab script: one breakpoint matrix per solver plus staircase plots."""
+    from .plot import _write_plots  # the one writer of plot files
+
     out = io.StringIO()
     _write_plots(profiles, log_scale, None, out)
     return out.getvalue()
-
-
-def write_outputs(profiles: list[StepFunction], log_scale: bool, base: Path | str) -> tuple[Path, Path]:
-    """Write the <base>.gnu and <base>.m plot-data files."""
-    gnu_path, m_path = Path(f"{base}.gnu"), Path(f"{base}.m")
-    try:
-        with open(gnu_path, "w") as gnu, open(m_path, "w") as m:
-            _write_plots(profiles, log_scale, gnu, m)
-    except OSError as exc:
-        raise ProfileError(f"cannot write plot data: {exc}") from exc
-    return gnu_path, m_path

@@ -292,7 +292,9 @@ class FailingAfter(io.StringIO):
 STREAM_CALLS = [
     ["run"], ["run", "-v"], ["add", "r.lbt"], ["add", "-r", "r.lbt"], ["add", "-d", "fakea%", "-v"],
     ["profile", "-v"], ["install", "-v"], ["install", "-t"], ["-h"], ["--version"], ["--no-such-option"],
+    ["profile", "--bogus"],
 ]
+USAGE_ERRORS = [["--no-such-option"], ["profile", "--bogus"]]
 
 
 @settings(max_examples=40, deadline=None,
@@ -315,13 +317,15 @@ STREAM_CALLS = [
 @example(argv=["--version"], name="stderr", exc=NO_SPACE, k=0, sticky=True, closed="stdout")
 @example(argv=["-h"], name="stdout", exc=NO_SPACE, k=0, sticky=True, closed=None)
 @example(argv=["--version"], name="stdout", exc=NO_SPACE, k=0, sticky=True, closed=None)
-# the usage goes to standard output, the error line to a closed standard error
+# a usage error with standard error closed: its usage does not go to
+# standard output, and the call exits 2
 @example(argv=["--no-such-option"], name="stdout", exc=NO_SPACE, k=1000, sticky=True, closed="stderr")
+@example(argv=["profile", "--bogus"], name="stdout", exc=NO_SPACE, k=1000, sticky=True, closed="stderr")
 def test_no_failing_standard_stream_escapes_main(env, argv, name, exc, k, sticky, closed):
     # whatever the call and wherever the stream fails, main returns; a
     # failed standard error, or a failed stdout of run, -h or --version,
     # exits 2. A closed stream (`<&-`, `>&-`) is None; run exits 2 on a
-    # closed stdin or stdout
+    # closed stdin or stdout. A usage error writes nothing to stdout
     _, wd = env
     (wd / "dtbopt").write_text("fakea%toys%alpha%info=0%nfc=1\nfakeb%toys%alpha%info=0%nfc=2\n")
     (wd / "r.lbt").write_text(
@@ -343,6 +347,10 @@ def test_no_failing_standard_stream_escapes_main(env, argv, name, exc, k, sticky
         assert code == 2
     if closed in ("stdin", "stdout") and argv[0] == "run":
         assert code == 2
+    if argv in USAGE_ERRORS:
+        assert code == 2
+        if name == "stdout":
+            assert stream.getvalue() == ""
 
 
 @pytest.mark.parametrize(
@@ -1247,8 +1255,8 @@ NEVER_LOADED = ["dataclasses", "inspect"]
     [
         (
             ["add", "-r", "r.lbt"],
-            ["libopt.hierarchy", "libopt.profile", "libopt.runner", "subprocess",
-             "tempfile", "random"],
+            ["libopt.hierarchy", "libopt.profile", "libopt.plot", "libopt.runner",
+             "subprocess", "tempfile", "random"],
         ),
         (["profile"], ["libopt.hierarchy", "libopt.runner", "subprocess"]),
     ],
@@ -1260,6 +1268,8 @@ def test_subcommand_imports_only_its_own_stage_modules(env, argv, unused):
     (wd / "perfopt.spc").write_text("solver a b\nperformance nfc\n")
     loaded = _loaded_modules(wd, argv)
     assert "libopt.store" in loaded
+    if argv[0] == "profile":  # its plot writer, with its other stage modules
+        assert "libopt.plot" in loaded
     assert loaded.isdisjoint(unused + NEVER_LOADED)
 
 

@@ -4,6 +4,7 @@ import math
 import random
 import tempfile
 import tracemalloc
+from array import array
 from bisect import bisect_right
 from itertools import repeat, zip_longest
 from pathlib import Path
@@ -27,8 +28,8 @@ from libopt.profile import (
     gather_candidate_problems,
     parse_spec,
     select,
-    write_outputs,
 )
+from libopt.plot import STEP_BATCH, X_BATCH, write_outputs
 from libopt.record import INFO_TOKEN, RecordError, TokenConfig, parse_line
 from libopt.store import Store, StoreReader
 
@@ -854,9 +855,10 @@ def test_emitters_match_the_reference_on_hand_built_profiles_of_several_grids(lo
         profile("h2", ((1.0, 0.0), (3.0, 0.5), (3.5, 0.5), (6.0, 1.0)), 1.0),
         profile("empty", (), 0.0),
         profile("h3", ((1.0, 1.0),), 1.0),
+        *batch_profiles(),
     ]
-    assert emit_gnuplot(profiles, log_scale) == reference_gnuplot(profiles, log_scale)
-    assert emit_matlab(profiles, log_scale) == reference_matlab(profiles, log_scale)
+    assert_same_text(emit_gnuplot(profiles, log_scale), reference_gnuplot(profiles, log_scale))
+    assert_same_text(emit_matlab(profiles, log_scale), reference_matlab(profiles, log_scale))
 
 
 def test_random_tables_cover_ties_failures_and_single_problems():
@@ -904,9 +906,25 @@ def hand_built_profiles():
     ]
 
 
+def batch_profiles():
+    """Profiles of 0, 1, K - 1, K, K + 1 and 2K + 1 steps for the writer's
+    batch of K steps, all but the first on one grid longer than two
+    batches of x texts."""
+    grid = array("d", [1 + i / 64 for i in range(2 * X_BATCH + 3)])
+
+    def stepped(n):
+        starts = array("q", range(0, 2 * n, 2))
+        values = array("d", [(j + 1) / (n + 1) for j in range(n)])
+        return StepFunction(f"s{n}", (grid, starts, values), values[-1])
+
+    k = STEP_BATCH
+    return [StepFunction.from_breakpoints("s0", (), 0.0), *map(stepped, [1, k - 1, k, k + 1, 2 * k + 1])]
+
+
 PROFILE_SETS = {
     "none": list,
     "hand-built": hand_built_profiles,
+    "batch boundaries": batch_profiles,
     **{
         f"random {seed}": lambda seed=seed: compute_profiles(
             compute_ratios(random_table(seed), "nfc")
@@ -927,8 +945,8 @@ def test_write_outputs_writes_the_bytes_of_the_emitters(tmp_path, name, log_scal
 
 
 def test_write_outputs_holds_less_than_it_writes(tmp_path):
-    # the rows of one profile at a time, not whole files: writing both
-    # whole texts would trace more than the bytes written
+    # the grid's x texts and one batch of one profile's rows, not whole
+    # files, nor a list of every x text or row of a profile
     profiles = compute_profiles(compute_ratios(random_table(LARGE_SEEDS[0]), "nfc"))
     assert len(profiles) == 8
     tracemalloc.start()
@@ -939,7 +957,7 @@ def test_write_outputs_holds_less_than_it_writes(tmp_path):
         tracemalloc.stop()
     written = sum(path.stat().st_size for path in tmp_path.iterdir())
     assert written > 1_000_000
-    assert peak < written
+    assert peak < written / 4
 
 
 # --- the columnar core ------------------------------------------------------
@@ -1142,8 +1160,8 @@ def test_the_profile_core_holds_little_per_stored_entry(tmp_path):
     finally:
         tracemalloc.stop()
     assert len(profiles) == 8
-    # columns trace about 85 B per entry here, a tuple per entry about 190 B
-    assert peak / len(lines) < 120
+    # columns trace about 70 B per entry here, a tuple per entry about 190 B
+    assert peak / len(lines) < 80
 
 
 def test_entries_outside_the_candidate_list_cost_no_memory(tmp_path):
