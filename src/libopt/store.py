@@ -323,18 +323,19 @@ class Store:
         return DeleteResult(deleted, lines - deleted)
 
     def import_file(
-        self,
-        path: Path | str,
-        *,
-        replace: bool = False,
-        config: TokenConfig | None = None,
+        self, path: Path | str, *, replace: bool = False, config: TokenConfig | None = None,
     ) -> ImportReport:
-        """Add every result line of a file; bad lines are reported, never fatal."""
-        from .merge import _import  # the reader that add uses
+        """Add every result line of a file, each as it is read; bad lines
+        are reported, never fatal."""
+        from .merge import _reported, _valid  # the reader that add uses
 
-        report, details = _import(path, self._entries, replace, config, [])
-        report.details = [detail for _, detail in details]
-        return report
+        report, details, before, lines = ImportReport(), [], len(self._entries), 0
+        for lines, (lineno, key_text, pairs) in enumerate(_valid(path, config, report, details), 1):
+            if replace or key_text not in self._entries:
+                self._entries[key_text] = pairs
+            else:
+                details.append((lineno, f"{path}:{lineno}: entry already present: {key_text}"))
+        return _reported(report, details, lines, len(self._entries) - before)
 
 
 class StoreReader(NamedTuple):

@@ -827,8 +827,11 @@ def parent_add(argv: list[str]) -> tuple[int, str]:
     return code, "".join(f"{line}\n" for line in err)
 
 
-# few keys, so that the store, the result file and the patterns meet
+# few keys, so that the store, the result file and the patterns meet; and
+# keys whose order tests how add sorts the lines it holds: one that extends
+# another, a tag character below '%', and one below the tab
 ADD_KEYS = [f"{s}%c%{p}" for s in ("a", "a.t", "b") for p in ("p1", "p2", "p3", "p4")]
+ADD_KEYS += ["a%c%p10", "a.!%c%p1", "a.\x01%c%p1"]
 add_numbers = st.sampled_from(["0", "1", "2.5", "1.50", "+3", "1e3", "007", "-0", "\u0663"])
 
 

@@ -898,6 +898,17 @@ def test_add_holds_neither_the_store_text_nor_its_entries(big_store, tmp_path, m
     assert len(Store.open("dtbopt")) == BIG_ENTRIES + 100
 
 
+def test_add_holds_little_per_result_line(big_store, tmp_path, monkeypatch):
+    # 5,000 fresh lines: what add holds of each sets the peak, not the store
+    monkeypatch.chdir(tmp_path)
+    lines = 5_000
+    Path("r.lbt").write_text("".join(f"libopt%new%c%p{i:05d}%info=0%n={i}\n" for i in range(lines)))
+    code, start, _, peak = traced_add(big_store, ["r.lbt"])
+    assert code == 0
+    assert (peak - start) / lines < 160
+    assert len(Store.open("dtbopt")) == BIG_ENTRIES + lines
+
+
 def test_add_d_pattern_holds_neither_the_store_text_nor_its_entries(big_store, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, start, _, peak = traced_add(big_store, ["-d", "solver3%"])
