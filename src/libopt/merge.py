@@ -116,7 +116,8 @@ def _update(
 
         def take(pairs: str | None = None) -> str:
             # the line of the run of key at new[at], with the store's pairs
-            # unless replace; at and key move on to the next run
+            # unless replace; at and key move on to the next run. A held
+            # line's pairs follow the key, the tab and ten digits
             nonlocal at, key
             start, cut = at, len(key) + 11
             at += 1
