@@ -1,8 +1,10 @@
-"""The package's base error, the one reader of outside text files, and
-the one line rule of every line-based file: blanks and '#' comments."""
+"""The package's base error, the one reader of outside text files, the
+one writer of the files libopt replaces (the store and both plot files),
+and the one line rule of every line-based file: blanks and '#' comments."""
 from __future__ import annotations
 
-from contextlib import contextmanager
+import os
+from contextlib import contextmanager, suppress
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
@@ -48,6 +50,38 @@ def open_text(
         except (OSError, UnicodeDecodeError) as whole:
             exc = whole
         raise error(f"cannot read {what} {path}: {exc}") from exc
+
+
+@contextmanager
+def replaced(path: Path | str, mode: int = 0o666) -> Iterator[TextIO]:
+    """A text handle on a fresh temp file beside ``path``, created with
+    ``mode`` (less the umask). On a clean exit the file is synced and
+    renamed over ``path``, then the directory is synced: ``path`` holds
+    its old bytes or all the new ones, also after a crash. On any
+    exception the temp file is removed. An error creating it names
+    ``path``, not the temp name."""
+    # a fresh name that O_EXCL keeps from any other writer's file
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    try:
+        fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, mode)
+    except OSError as exc:
+        exc.filename = os.fspath(path)
+        raise
+    try:
+        with os.fdopen(fd, "w") as handle:
+            yield handle
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.unlink(tmp)
+        raise
+    fd = os.open(os.path.dirname(tmp) or ".", os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def content_lines(lines: str | Iterable[str], raw: bool = False) -> Iterator[tuple[int, str]]:

@@ -9,6 +9,11 @@ profile into constant-y segments ``STEP_BATCH`` steps at a time, each
 segment one ``str.replace`` over its slice of that string, and writes
 each batch to each file at once. So besides the x texts it holds one
 batch of one profile's rows, never a list of every x text or row.
+
+``write_outputs`` writes both files in that one pass, each into its own
+temp file of ``errors.replaced``, the one writer of every file libopt
+replaces: each file then holds its old bytes or all its new ones.
+``emit_gnuplot`` and ``emit_matlab`` run the same writer into strings.
 """
 from __future__ import annotations
 
@@ -18,6 +23,7 @@ from itertools import accumulate, chain, islice
 from pathlib import Path
 from typing import TextIO
 
+from .errors import replaced
 from .profile import ProfileError, StepFunction
 
 # grid points formatted a batch, and steps of a profile cut and written a batch
@@ -37,17 +43,15 @@ def _x_texts(grid: array, log_scale: bool) -> tuple[str, array]:
     return "".join(parts), at
 
 
-def _write_plots(profiles: list[StepFunction], log_scale: bool, gnu: TextIO | None, m: TextIO | None) -> None:
+def _write_plots(profiles: list[StepFunction], log_scale: bool, gnu: TextIO, m: TextIO) -> None:
     """Write the Gnuplot data of the profiles to ``gnu`` and their Matlab
-    script to ``m`` (see the module docstring); either may be None."""
+    script to ``m`` (see the module docstring)."""
     label = "log2(performance ratio)" if log_scale else "performance ratio"
-    if gnu is not None:
-        gnu.write(f"# performance profile data\n# x: {label}, y: fraction of problems\n")
-    if m is not None:
-        m.write("% performance profile data\n")
-        if not profiles:
-            m.write("error('no eligible problems: nothing to plot');\n")
-            return
+    gnu.write(f"# performance profile data\n# x: {label}, y: fraction of problems\n")
+    m.write("% performance profile data\n")
+    if not profiles:
+        m.write("error('no eligible problems: nothing to plot');\n")
+        return
     grid = text = at = None  # the last grid met, and its x texts
     axis = ""
     for i, profile in enumerate(profiles, 1):
@@ -57,10 +61,9 @@ def _write_plots(profiles: list[StepFunction], log_scale: bool, gnu: TextIO | No
             text, at = _x_texts(grid, log_scale)
         if grid and not axis:  # the x range of the first profile with points
             axis = f"axis([{text[:at[1] - 1]} {text[at[-2]:-1]} 0 1]);\n"
-        if gnu is not None:  # a blank line after the header, two between blocks
-            gnu.write(("\n" if i == 1 else "\n\n") + f"# solver {profile.solver}\n")
-        if m is not None:
-            m.write(f"data{i} = [\n")
+        # a blank line after the header, two between blocks
+        gnu.write(("\n" if i == 1 else "\n\n") + f"# solver {profile.solver}\n")
+        m.write(f"data{i} = [\n")
         last = ""  # the y text of the segment before the batch
         for k in range(0, len(starts), STEP_BATCH):
             heads = starts[k:k + STEP_BATCH]
@@ -68,31 +71,29 @@ def _write_plots(profiles: list[StepFunction], log_scale: bool, gnu: TextIO | No
             offsets = [*map(at.__getitem__, starts[k:k + STEP_BATCH + 1]), len(text)]
             ys = list(map(" {:.6g}\n".format, values[k:k + STEP_BATCH]))
             segments = [text[a:b].replace("\n", y) for a, b, y in zip(offsets, offsets[1:], ys)]
-            if gnu is not None:
-                # a jump row before each segment but the profile's first
-                # repeats the previous value at the segment's first x, so
-                # steps render as horizontal segments
-                jumps = [text[a:at[s + 1] - 1] + y for a, s, y in zip(offsets, heads, [last, *ys])]
-                jumps[0] = jumps[0] if k else ""
-                gnu.write("".join(chain.from_iterable(zip(jumps, segments))))
-            if m is not None:  # the rows indented
-                m.write(("  " + "".join(segments)).replace("\n", "\n  ")[:-2])
+            # a jump row before each segment but the profile's first
+            # repeats the previous value at the segment's first x, so
+            # steps render as horizontal segments
+            jumps = [text[a:at[s + 1] - 1] + y for a, s, y in zip(offsets, heads, [last, *ys])]
+            jumps[0] = jumps[0] if k else ""
+            gnu.write("".join(chain.from_iterable(zip(jumps, segments))))
+            # the same rows, indented, to the Matlab script
+            m.write(("  " + "".join(segments)).replace("\n", "\n  ")[:-2])
             last = ys[-1]
-        if m is not None:
-            m.write("];\n")
-    if m is not None:
-        names = ", ".join("'" + p.solver.replace("'", "''") + "'" for p in profiles)
-        m.write("figure;\nhold on;\n")
-        m.writelines(f"stairs(data{i}(:,1), data{i}(:,2));\n" for i in range(1, len(profiles) + 1))
-        m.write(f"hold off;\nlegend({names}, 'Location', 'SouthEast');\nxlabel('{label}');\n")
-        m.write(f"ylabel('fraction of problems');\n{axis}")
+        m.write("];\n")
+    names = ", ".join("'" + p.solver.replace("'", "''") + "'" for p in profiles)
+    m.write("figure;\nhold on;\n")
+    m.writelines(f"stairs(data{i}(:,1), data{i}(:,2));\n" for i in range(1, len(profiles) + 1))
+    m.write(f"hold off;\nlegend({names}, 'Location', 'SouthEast');\nxlabel('{label}');\n")
+    m.write(f"ylabel('fraction of problems');\n{axis}")
 
 
 def write_outputs(profiles: list[StepFunction], log_scale: bool, base: Path | str) -> tuple[Path, Path]:
-    """Write the <base>.gnu and <base>.m plot-data files."""
+    """Write the <base>.gnu and <base>.m plot-data files, each through
+    ``errors.replaced``: each holds its old bytes or all its new ones."""
     gnu_path, m_path = Path(f"{base}.gnu"), Path(f"{base}.m")
     try:
-        with open(gnu_path, "w") as gnu, open(m_path, "w") as m:
+        with replaced(gnu_path) as gnu, replaced(m_path) as m:
             _write_plots(profiles, log_scale, gnu, m)
     except OSError as exc:
         raise ProfileError(f"cannot write plot data: {exc}") from exc

@@ -469,7 +469,7 @@ def emit_gnuplot(profiles: list[StepFunction], log_scale: bool = False) -> str:
     from .plot import _write_plots  # the one writer of plot files
 
     out = io.StringIO()
-    _write_plots(profiles, log_scale, out, None)
+    _write_plots(profiles, log_scale, out, io.StringIO())
     return out.getvalue()
 
 
@@ -478,5 +478,5 @@ def emit_matlab(profiles: list[StepFunction], log_scale: bool = False) -> str:
     from .plot import _write_plots  # the one writer of plot files
 
     out = io.StringIO()
-    _write_plots(profiles, log_scale, None, out)
+    _write_plots(profiles, log_scale, io.StringIO(), out)
     return out.getvalue()

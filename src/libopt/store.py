@@ -3,8 +3,8 @@
 Each entry maps the triple key ``solver[.tag]%collection%problem`` to the
 result's token-number pairs. On disk the store is plain text, one entry
 per line (the result line minus the sentinel field), sorted by key, so
-it diffs cleanly and ports anywhere. Writes go through a temp file plus
-rename, and an advisory lock file serializes concurrent writers.
+it diffs cleanly and ports anywhere. Writes go through a synced temp
+file plus rename, and an advisory lock file serializes concurrent writers.
 
 A store file is read by one scan, line by line. A line in the canonical
 form ``save`` writes, numbers included, costs one ``record.ENTRY_RE``
@@ -36,9 +36,11 @@ token layout. ``query()`` is its sorted view. No name holds a '%', so
 ``import_file`` inserts is formatted once, on insert; a result line's
 number keeps its text when that is already canonical.
 
-Store files have one writer, ``_write``: a fresh ``O_EXCL`` temp file,
-written 512 lines at a time, then renamed over the store; a write that
-fails leaves the old store and no temp file. ``libopt add`` is the
+Store files have one writer, ``_write``: 512 lines at a time into
+``errors.replaced``, the one writer of every file libopt replaces, plot
+files too: a fresh ``O_EXCL`` owner-only temp file beside the store,
+synced, renamed over it, then the directory synced. A write that fails
+leaves the old store and no temp file. ``libopt add`` is the
 ``merge`` module: it shares ``_write``, and ``Store`` imports its
 readers of result and selection files.
 """
@@ -46,14 +48,14 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from itertools import chain, compress, islice, repeat
 from math import nan
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import LiboptError, content_lines, open_text
+from .errors import LiboptError, content_lines, open_text, replaced
 from .record import (
     ENTRY_RE,
     SENTINEL,
@@ -214,24 +216,14 @@ class ImportReport:
 
 
 def _write(path: Path, lines: Iterator[str]) -> None:
-    """Atomically replace the file at ``path`` by ``lines``, joined 512
-    at a time. A write that fails leaves the old file and no temp file,
-    and reads the rest of ``lines`` first: an error of the store they
-    come from wins."""
-    # a fresh name that O_EXCL keeps from any other writer's file
-    tmp = Path(f"{path}.{os.urandom(8).hex()}.tmp")
+    """Replace the file at ``path`` by ``lines``, joined 512 at a time,
+    through ``errors.replaced``, as an owner-only file. A write that fails
+    leaves the old file and no temp file, and reads the rest of ``lines``
+    first: an error of the store they come from wins."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o600)
-        try:
-            with os.fdopen(fd, "w") as handle:
-                for batch in iter(lambda: "".join(islice(lines, 512)), ""):
-                    handle.write(batch)
-            os.replace(tmp, path)
-        except BaseException:
-            with suppress(OSError):
-                os.unlink(tmp)
-            raise
+        with replaced(path, 0o600) as handle:
+            handle.writelines(iter(lambda: "".join(islice(lines, 512)), ""))
     except OSError as exc:
         deque(lines, 0)
         raise StoreError(f"cannot save store {path}: {exc}") from exc

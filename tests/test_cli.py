@@ -559,7 +559,8 @@ def test_startup_data_base_with_a_nul_exits_two(env, capsys):
     "output,message",
     [
         ("x\0y", "perfopt.spc:3: output file name holds a NUL"),
-        ("nodir/x", "cannot write plot data: "),
+        # the file the user named, not the temp file beside it
+        ("nodir/x", "cannot write plot data: [Errno 2] No such file or directory: '{wd}/nodir/x.gnu'"),
     ],
 )
 def test_profile_output_that_cannot_be_written_exits_two(env, capsys, output, message):
@@ -569,8 +570,8 @@ def test_profile_output_that_cannot_be_written_exits_two(env, capsys, output, me
     (wd / "perfopt.spc").write_text(f"solver a b\nperformance nfc\noutput {output}\n")
     capsys.readouterr()
     assert main(["profile"]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith(f"error: {message}")
+    assert capsys.readouterr().err == f"error: {message.format(wd=wd)}\n"
+    assert not list(wd.rglob("*.tmp"))
 
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import math
 import random
 import tempfile
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from libopt import plot
 from libopt.errors import LiboptError
 from libopt.profile import (
     RELATIONS,
@@ -958,6 +960,26 @@ def test_write_outputs_holds_less_than_it_writes(tmp_path):
     written = sum(path.stat().st_size for path in tmp_path.iterdir())
     assert written > 1_000_000
     assert peak < written / 4
+
+
+def test_a_cut_plot_write_keeps_the_old_files(tmp_path, monkeypatch):
+    profiles = hand_built_profiles()
+    gnu_path, m_path = write_outputs(profiles, False, tmp_path / "perf")
+    before = gnu_path.read_bytes(), m_path.read_bytes()
+    texts = emit_gnuplot(profiles, True), emit_matlab(profiles, True)
+
+    def cut(profiles, log_scale, gnu, m):
+        # as when the file size limit is met halfway through each file
+        for out, text in zip([gnu, m], texts):
+            out.write(text[:len(text) // 2])
+            out.flush()
+        raise OSError(errno.EFBIG, "File too large")
+
+    monkeypatch.setattr(plot, "_write_plots", cut)
+    with pytest.raises(ProfileError, match=r"^cannot write plot data: \[Errno 27\] File too large$"):
+        write_outputs(profiles, True, tmp_path / "perf")
+    assert (gnu_path.read_bytes(), m_path.read_bytes()) == before
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["perf.gnu", "perf.m"]
 
 
 # --- the columnar core ------------------------------------------------------

@@ -4,6 +4,8 @@ import math
 import os
 import re
 import shutil
+import subprocess
+import sys
 import tracemalloc
 from contextlib import contextmanager
 from itertools import islice
@@ -12,8 +14,10 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import libopt
 from libopt.errors import open_text
 from libopt.merge import delete_from
+from libopt.plot import write_outputs
 from libopt.record import (
     ENTRY_RE,
     LiboptRecord,
@@ -660,6 +664,61 @@ def test_locked_serializes_writers(tmp_path):
         store.add(R1)
         store.save()
     assert Store.open(path).query()[0][0].text() == "a%c%p"
+
+
+def test_two_adds_at_once_keep_every_key(tmp_path):
+    # two real processes of disjoint keys, each reading the store, merging
+    # and renaming its own temp file over it while the other runs
+    (tmp_path / "dtbopt").write_text(
+        "".join(f"z%c%q{i:05d}%info=0%n={i}\n" for i in range(20000))
+    )
+    (tmp_path / "rc").write_text("")
+    for solver in "ab":
+        (tmp_path / f"{solver}.lbt").write_text(
+            "".join(f"libopt%{solver}%c%p{i:04d}%info=0%n={i}\n" for i in range(2000))
+        )
+    src = str(Path(libopt.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    adds = [
+        subprocess.Popen(
+            [sys.executable, "-m", "libopt.cli", "add", "--config", "rc", "-b", "dtbopt", f"{solver}.lbt"],
+            cwd=tmp_path, env=env, stderr=subprocess.PIPE, text=True,
+        )
+        for solver in "ab"
+    ]
+    errors = [add.communicate(timeout=60)[1] for add in adds]
+    assert [add.returncode for add in adds] == [0, 0], errors
+    store = Store.open(tmp_path / "dtbopt")
+    assert len(store) == 24000
+    assert {key.solver_with_tag for key, _ in store.query()} == {"a", "b", "z"}
+
+
+def test_save_and_write_outputs_sync_each_file_then_its_directory(tmp_path, monkeypatch):
+    calls = []  # ("fsync" or "replace", the inode of the file or directory)
+    fsync, replace = os.fsync, os.replace
+
+    def record_fsync(fd):
+        calls.append(("fsync", os.fstat(fd).st_ino))
+        fsync(fd)
+
+    def record_replace(src, dst):
+        replace(src, dst)
+        calls.append(("replace", os.stat(dst).st_ino))
+
+    monkeypatch.setattr(os, "fsync", record_fsync)
+    monkeypatch.setattr(os, "replace", record_replace)
+    store = Store(tmp_path / "dtbopt")
+    store.add(R1)
+    store.save()
+    write_outputs([], False, tmp_path / "perf")
+    renames = [at for at, (call, _) in enumerate(calls) if call == "replace"]
+    assert len(renames) == 3
+    directory = ("fsync", tmp_path.stat().st_ino)
+    bounds = [-1, *renames, len(calls)]
+    for before, at, after in zip(bounds, bounds[1:], bounds[2:]):
+        # the renamed file synced before its rename, the directory after it
+        assert ("fsync", calls[at][1]) in calls[before + 1:at]
+        assert directory in calls[at + 1:after]
 
 
 # About 50 kB of entries: a byte after them lies past the first chunk a
